@@ -4,7 +4,7 @@
 //! `cargo bench -p mesh11-bench spill`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mesh11_bench::{fused, DataMode, ReproContext, Scale};
+use mesh11_bench::{Analysis, DataMode, FusedOutputs, ReproContext, Scale};
 use mesh11_trace::{ChunkConfig, ProbeChunk, SpillCodec};
 use std::hint::black_box;
 
@@ -79,7 +79,11 @@ fn forced_spill_fold(c: &mut Criterion) {
             "tiny budget must force spilling"
         );
         c.bench_function(&format!("spill/fold-{label}"), |b| {
-            b.iter(|| black_box(fused::run_fused(&ctx.probe_source())))
+            b.iter(|| {
+                let out = FusedOutputs::default();
+                out.prepare(&ctx.probe_source(), &Analysis::ALL);
+                black_box(out)
+            })
         });
     }
 }

@@ -1,16 +1,16 @@
-//! Kernel-major vs window-major scheduling of the fused analysis pass,
-//! over the same kernel set: one probe-source walk **per kernel** (each
-//! kernel re-materializing windows as it goes) against **one** shared
-//! window walk folding every kernel while the window is resident. Three
-//! data shapes: the in-memory quick dataset (windows are free — the
-//! schedules should tie), the quick dataset forced through tiny spilled
-//! chunks (window rebuilds hit the decoder), and a metro-2 chunked
-//! ensemble (the headline case). Run with
-//! `cargo bench -p mesh11-bench window_major`.
+//! One walk per analysis against one fused walk, over the same analysis
+//! set: what an unprepared context does (each accessor walks the probe
+//! source for its own kernels on first touch, re-materializing windows as
+//! it goes) against `ReproContext::prepare` (**one** shared window walk
+//! folding every kernel while the window is resident). Three data shapes:
+//! the in-memory quick dataset (windows are free — the schedules should
+//! tie), the quick dataset forced through tiny spilled chunks (window
+//! rebuilds hit the decoder), and a metro-2 chunked ensemble (the headline
+//! case). Run with `cargo bench -p mesh11-bench window_major`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mesh11_bench::{fused, DataMode, FusedOutputs, FusedRunner, ReproContext, Scale};
-use mesh11_trace::{fold_windows, ChunkConfig, ProbeSource};
+use mesh11_bench::{Analysis, DataMode, FusedOutputs, ReproContext, Scale};
+use mesh11_trace::{ChunkConfig, ProbeSource};
 use std::hint::black_box;
 
 const SEED: u64 = 42;
@@ -19,26 +19,29 @@ fn build_ctx(scale: Scale, mode: DataMode) -> ReproContext {
     ReproContext::build_timed_with_mode(scale, SEED, mesh11_sim::FaultPlan::none(), mode).0
 }
 
-/// The kernel-major schedule: every fused kernel gets its own full walk
-/// over the source, then pass B runs as usual. Byte-identical outputs to
-/// [`fused::run_fused`] — only the window traffic differs.
-fn run_kernel_major(src: &ProbeSource<'_>) -> FusedOutputs {
-    let mut runner = FusedRunner::new();
-    {
-        let mut kernels = runner.kernels();
-        for k in kernels.iter_mut() {
-            fold_windows(src, std::slice::from_mut(k));
-        }
+/// Every analysis filled by a walk of its own: byte-identical outputs to
+/// the fused walk — only the window traffic differs.
+fn run_per_analysis(src: &ProbeSource<'_>) -> FusedOutputs {
+    let out = FusedOutputs::default();
+    for a in Analysis::ALL {
+        out.prepare(src, &[a]);
     }
-    runner.finish(src)
+    out
+}
+
+/// Every analysis filled by one fused walk.
+fn run_fused(src: &ProbeSource<'_>) -> FusedOutputs {
+    let out = FusedOutputs::default();
+    out.prepare(src, &Analysis::ALL);
+    out
 }
 
 fn bench_schedules(c: &mut Criterion, label: &str, ctx: &ReproContext) {
-    c.bench_function(&format!("window_major/{label}-kernel-major"), |b| {
-        b.iter(|| black_box(run_kernel_major(&ctx.probe_source())))
+    c.bench_function(&format!("window_major/{label}-per-analysis"), |b| {
+        b.iter(|| black_box(run_per_analysis(&ctx.probe_source())))
     });
-    c.bench_function(&format!("window_major/{label}-window-major"), |b| {
-        b.iter(|| black_box(fused::run_fused(&ctx.probe_source())))
+    c.bench_function(&format!("window_major/{label}-fused"), |b| {
+        b.iter(|| black_box(run_fused(&ctx.probe_source())))
     });
 }
 
@@ -48,8 +51,8 @@ fn quick(c: &mut Criterion) {
     bench_schedules(c, "quick", &ctx);
 }
 
-/// Quick dataset through tiny spilled chunks: kernel-major re-decodes
-/// spilled chunks per kernel, window-major decodes each window once.
+/// Quick dataset through tiny spilled chunks: per-analysis walks re-decode
+/// spilled chunks per kernel, the fused walk decodes each window once.
 fn forced_spill(c: &mut Criterion) {
     let ctx = build_ctx(Scale::Quick, DataMode::Chunked(ChunkConfig::tiny()));
     assert!(

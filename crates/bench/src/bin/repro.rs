@@ -4,8 +4,7 @@
 //! repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N]
 //!       [--faults] [--metro-factor N] [--chunked] [--chunk-capacity N]
 //!       [--chunk-budget N] [--spill-codec v1|v2] [--prefetch-depth N]
-//!       [--spill-dir DIR] [--streaming]
-//!       [--window-major] [--kernel-major] [--out DIR] [--bench-json FILE]
+//!       [--spill-dir DIR] [--streaming] [--out DIR] [--bench-json FILE]
 //!       [--rows N] [--plot] <id>... | --all
 //! ```
 //!
@@ -16,12 +15,17 @@
 //! `out/figures_ci/`. Per-seed and amortized timings land in the timing
 //! JSONs. In-memory scales only.
 //!
+//! Analysis runs in two steps per seed. First one fused pass folds every
+//! shared analysis the requested figures read (`figures::analyses`) in a
+//! single walk of the probe source, on the driving thread with the whole
+//! thread budget; its wall-clock is `fused_s`. Then the figure builders
+//! fan out and read the finished outputs, so each per-figure time is that
+//! builder's own cost.
+//!
 //! `--streaming` (implies `--chunked`) overlaps analysis with simulation:
 //! sealed dataset parts feed a bounded channel whose consumer folds every
-//! registered kernel over each part while later networks still simulate.
-//! `--window-major` / `--kernel-major` force the analysis schedule
-//! (default: window-major when chunked, kernel-major in-memory); figures
-//! are byte-identical either way.
+//! analysis kernel over each part while later networks still simulate.
+//! Figures are byte-identical either way.
 //!
 //! Prints each figure as an aligned text table (with the paper-expected
 //! values as `#` notes; add `--plot` for ASCII curve renderings) and writes
@@ -35,10 +39,10 @@
 //! Output is bit-for-bit identical at any `--threads` value (including 1):
 //! parallelism only reorders who computes what, never what is computed.
 
-use mesh11_bench::figures::{build, ALL_IDS};
+use mesh11_bench::figures::{analyses_for, build, ALL_IDS};
 use mesh11_bench::{
-    aggregate_ci, group_by_figure, max_relative_halfwidth, peak_rss_mb, AnalysisMode, DataMode,
-    PhaseTimings, ReproContext, Scale,
+    aggregate_ci, group_by_figure, max_relative_halfwidth, peak_rss_mb, DataMode, PhaseTimings,
+    ReproContext, Scale,
 };
 use mesh11_core::report::FigureData;
 use mesh11_trace::{ChunkConfig, SpillCodec};
@@ -60,7 +64,6 @@ struct Args {
     prefetch_depth: Option<usize>,
     spill_dir: Option<PathBuf>,
     streaming: bool,
-    analysis_mode: Option<AnalysisMode>,
     out: PathBuf,
     bench_json: PathBuf,
     rows: usize,
@@ -119,7 +122,6 @@ fn parse_args() -> Result<Args, String> {
         prefetch_depth: None,
         spill_dir: None,
         streaming: false,
-        analysis_mode: None,
         out: PathBuf::from("out"),
         bench_json: PathBuf::from("BENCH_repro.json"),
         rows: 16,
@@ -156,18 +158,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--chunked" => args.chunked = true,
             "--streaming" => args.streaming = true,
-            "--window-major" => {
-                if args.analysis_mode == Some(AnalysisMode::KernelMajor) {
-                    return Err("--window-major conflicts with --kernel-major".into());
-                }
-                args.analysis_mode = Some(AnalysisMode::WindowMajor);
-            }
-            "--kernel-major" => {
-                if args.analysis_mode == Some(AnalysisMode::WindowMajor) {
-                    return Err("--kernel-major conflicts with --window-major".into());
-                }
-                args.analysis_mode = Some(AnalysisMode::KernelMajor);
-            }
             "--chunk-capacity" => {
                 let v = it.next().ok_or("--chunk-capacity needs a value")?;
                 args.chunk_capacity =
@@ -216,7 +206,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N] [--faults]\n\
                      \x20            [--metro-factor N] [--chunked] [--chunk-capacity N] [--chunk-budget N]\n\
                      \x20            [--spill-codec v1|v2] [--prefetch-depth N]\n\
-                     \x20            [--spill-dir DIR] [--streaming] [--window-major] [--kernel-major]\n\
+                     \x20            [--spill-dir DIR] [--streaming]\n\
                      \x20            [--out DIR] [--bench-json FILE] [--rows N] [--plot] <id>... | --all\n\
                      --threads N  cap the worker pool (default: all cores); results are\n\
                      identical at any value, only wall-clock changes\n\
@@ -229,9 +219,6 @@ fn parse_args() -> Result<Args, String> {
                      --chunked    stream probes through the spill-able chunk store at any scale\n\
                      --streaming  overlap analysis with simulation: fold kernels over sealed\n\
                      parts while later networks still simulate (implies --chunked)\n\
-                     --window-major  materialize each window once, fold every kernel over it\n\
-                     (default when chunked); byte-identical to kernel-major\n\
-                     --kernel-major  one probe-source walk per kernel (default in-memory)\n\
                      --chunk-capacity N  probe sets per chunk (default {})\n\
                      --chunk-budget N    resident chunks before spilling (default {})\n\
                      --spill-codec v1|v2  spill frame encoding: raw columns (v1) or\n\
@@ -240,7 +227,10 @@ fn parse_args() -> Result<Args, String> {
                      prefetch thread (default {}; 0 disables it)\n\
                      --spill-dir DIR     where cold chunks spill (default: system temp dir)\n\
                      --bench-json FILE  where to write the per-phase timing JSON\n\
-                     (default: BENCH_repro.json in the working directory)\nids: {}",
+                     (default: BENCH_repro.json in the working directory)\n\
+                     analysis: one fused pass folds every shared analysis the requested ids\n\
+                     read in a single walk of the probes (fused_s), then the figure builders\n\
+                     fan out over its outputs\nids: {}",
                     mesh11_bench::DEFAULT_METRO_FACTOR,
                     ChunkConfig::default().chunk_capacity,
                     ChunkConfig::default().resident_chunks,
@@ -267,12 +257,6 @@ fn parse_args() -> Result<Args, String> {
             "--seeds runs the ensemble in-memory; drop the chunk flags (or --scale metro)".into(),
         );
     }
-    if args.streaming && args.analysis_mode.is_some() {
-        return Err(
-            "--streaming already folds window-major during simulation; drop the schedule flag"
-                .into(),
-        );
-    }
     Ok(args)
 }
 
@@ -285,7 +269,9 @@ struct SeedAnalysis {
     figs: Vec<FigureData>,
     /// Unknown-id failures.
     failures: i32,
-    /// Wall-clock of the parallel figure pass.
+    /// Wall-clock of the fused pass ahead of the builders.
+    fused_s: f64,
+    /// Wall-clock of the fused pass plus the parallel figure pass.
     analyze_s: f64,
 }
 
@@ -299,11 +285,14 @@ fn analyze_and_emit(
     out_dir: &Path,
     print_tables: bool,
 ) -> SeedAnalysis {
-    // Build every requested figure in parallel. The shared heavy analyses
-    // (lookup tables, triple analysis, mobility report, …) live in
-    // OnceLocks on the context, so concurrent builders compute each one
-    // exactly once and the results carry no thread-count dependence.
+    // One fused walk fills every shared analysis the requested figures
+    // read, on this thread so its kernels fan out over the whole budget.
+    // The builders then run in parallel over finished outputs (the
+    // mobility report and anything unprepared still fill once, in
+    // OnceLocks, whoever touches them first).
     let t_analyze = Instant::now();
+    ctx.prepare(&analyses_for(&args.ids));
+    let fused_s = t_analyze.elapsed().as_secs_f64();
     let built: Vec<(&String, BuildOutcome)> = args
         .ids
         .par_iter()
@@ -344,6 +333,7 @@ fn analyze_and_emit(
         fig_times,
         figs: all_figs,
         failures,
+        fused_s,
         analyze_s,
     }
 }
@@ -372,7 +362,7 @@ fn run(args: &Args) -> i32 {
             cfg.chunk_capacity, cfg.resident_chunks
         );
     }
-    let (mut ctx, build_t) = if args.streaming {
+    let (ctx, build_t) = if args.streaming {
         let DataMode::Chunked(cfg) = mode else {
             unreachable!("--streaming implies a chunked data mode")
         };
@@ -381,9 +371,6 @@ fn run(args: &Args) -> i32 {
     } else {
         ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode)
     };
-    if let Some(schedule) = args.analysis_mode {
-        ctx.set_analysis_mode(schedule);
-    }
     eprintln!(
         "# simulated {} networks / {} APs ({} pairs): {} probe sets, {} client samples in {:.1}s",
         ctx.networks().len(),
@@ -406,6 +393,7 @@ fn run(args: &Args) -> i32 {
     let SeedAnalysis {
         fig_times,
         failures,
+        fused_s,
         analyze_s: figure_s,
         ..
     } = analysis;
@@ -446,12 +434,15 @@ fn run(args: &Args) -> i32 {
         client_probe_s: build_t.client_probe_s,
         clients_simulated: build_t.clients_simulated,
         analyze_s,
+        fused_s,
         analyze_probes_per_sec: if analyze_s > 0.0 {
             n_probes as f64 / analyze_s
         } else {
             0.0
         },
         stream_analyze_s: args.streaming.then_some(build_t.stream_analyze_s),
+        stream_fold_s: args.streaming.then_some(build_t.stream_fold_s),
+        stream_overlap_s: args.streaming.then_some(build_t.stream_overlap_s),
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
         chunk_decodes: chunk.as_ref().map(|c| c.chunk_decodes),
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),
@@ -502,6 +493,7 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
     // per-seed directories.
     let mut per_seed_figs = Vec::with_capacity(args.seeds);
     let mut per_seed_analyze_s = Vec::with_capacity(args.seeds);
+    let mut fused_s = 0.0;
     let mut base_fig_times = BTreeMap::new();
     let mut failures = 0;
     for (k, ctx) in ctxs.iter().enumerate() {
@@ -512,6 +504,7 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
             base_fig_times = a.fig_times;
         }
         failures += a.failures;
+        fused_s += a.fused_s;
         per_seed_analyze_s.push(a.analyze_s);
         per_seed_figs.push(a.figs);
     }
@@ -572,12 +565,15 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
         client_probe_s: build_t.client_probe_s,
         clients_simulated: build_t.clients_simulated,
         analyze_s,
+        fused_s,
         analyze_probes_per_sec: if analyze_s > 0.0 {
             n_probes as f64 / analyze_s
         } else {
             0.0
         },
         stream_analyze_s: None,
+        stream_fold_s: None,
+        stream_overlap_s: None,
         chunk_hits: None,
         chunk_decodes: None,
         chunk_evictions: None,

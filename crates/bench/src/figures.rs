@@ -15,6 +15,7 @@ use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::Cdf;
 use mesh11_trace::{EnvLabel, NetworkId};
 
+use crate::fused::Analysis;
 use crate::setup::ReproContext;
 
 /// Every experiment id, in paper order, followed by the extension
@@ -85,6 +86,64 @@ pub fn build(ctx: &ReproContext, id: &str) -> Option<Vec<FigureData>> {
         "ext-client" => vec![ext_client(ctx)],
         _ => return None,
     })
+}
+
+/// The shared analyses one experiment's builder reads — what
+/// [`ReproContext::prepare`] should fold before [`build`] runs it. Figures
+/// that read only metadata, client traces (the mobility report) or the
+/// client-probe pass select nothing, as do unknown ids.
+pub fn analyses(id: &str) -> &'static [Analysis] {
+    use Analysis::*;
+    use Phy::{Bg, Ht};
+    use Scope::{Ap, Global, Link, Network};
+    match id {
+        "fig3-1" => &[Sigmas],
+        "fig4-1" => &[Table(Global, Bg), Table(Global, Ht)],
+        "fig4-2" => &[
+            Table(Global, Bg),
+            Table(Network, Bg),
+            Table(Ap, Bg),
+            Table(Link, Bg),
+        ],
+        "fig4-3" => &[
+            Table(Global, Ht),
+            Table(Network, Ht),
+            Table(Ap, Ht),
+            Table(Link, Ht),
+        ],
+        "fig4-4" => &[
+            Penalty(Global, Bg),
+            Penalty(Network, Bg),
+            Penalty(Ap, Bg),
+            Penalty(Link, Bg),
+            Penalty(Global, Ht),
+            Penalty(Network, Ht),
+            Penalty(Ap, Ht),
+            Penalty(Link, Ht),
+        ],
+        "fig4-5" => &[Curves(Bg), Curves(Ht)],
+        "fig4-6" | "tab4-1" => &[Strategy],
+        "fig5-1" | "fig5-3" | "fig5-4" | "fig5-5" => &[Routing],
+        "fig5-2" => &[Asymmetry],
+        "fig6-1" => &[Triples],
+        "fig6-2" => &[Ranges],
+        "sec6-3" => &[Triples, Ranges],
+        "ext-adapt" => &[Adapt],
+        "ext-cap" => &[Cap],
+        "ext-sweep" => &[Sweep],
+        "ext-stability" => &[Stability],
+        "ext-diversity" => &[Diversity],
+        "ext-ett" => &[Ett],
+        _ => &[],
+    }
+}
+
+/// Every analysis the experiments `ids` read, for one
+/// [`ReproContext::prepare`] call ahead of their builders.
+pub fn analyses_for<S: AsRef<str>>(ids: &[S]) -> Vec<Analysis> {
+    ids.iter()
+        .flat_map(|id| analyses(id.as_ref()).iter().copied())
+        .collect()
 }
 
 const CDF_POINTS: usize = 41;
@@ -970,6 +1029,46 @@ mod tests {
             }
         }
         assert!(build(ctx(), "fig9-9").is_none());
+    }
+
+    fn tiny_chunked() -> ReproContext {
+        ReproContext::build_timed_with_mode(
+            Scale::Quick,
+            7,
+            mesh11_sim::FaultPlan::none(),
+            crate::DataMode::Chunked(mesh11_trace::ChunkConfig::tiny()),
+        )
+        .0
+    }
+
+    /// The id→analysis table is complete: on a fresh chunked context,
+    /// preparing an id's analyses leaves its builder no window to build,
+    /// and preparing every id walks each window exactly once.
+    #[test]
+    fn analyses_table_covers_every_builder() {
+        assert!(analyses("fig1-1").is_empty());
+        assert!(analyses("ext-client").is_empty());
+        for id in ALL_IDS {
+            let ctx = tiny_chunked();
+            ctx.prepare(analyses(id));
+            let before = ctx.chunk_stats();
+            build(&ctx, id).unwrap_or_else(|| panic!("unknown id {id}"));
+            let after = ctx.chunk_stats();
+            assert_eq!(
+                (after.window_builds, after.window_hits),
+                (before.window_builds, before.window_hits),
+                "{id} walked windows its prepared analyses should have covered"
+            );
+        }
+        let ctx = tiny_chunked();
+        let n_windows = ctx.chunked().expect("chunked").n_windows() as u64;
+        assert!(n_windows > 1, "tiny chunks must give several windows");
+        ctx.prepare(&analyses_for(ALL_IDS));
+        assert_eq!(ctx.chunk_stats().window_builds, n_windows);
+        for id in ALL_IDS {
+            build(&ctx, id);
+        }
+        assert_eq!(ctx.chunk_stats().window_builds, n_windows);
     }
 
     #[test]

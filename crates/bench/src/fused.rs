@@ -1,27 +1,31 @@
-//! The window-major fused analysis pass.
+//! The demand-driven fused analysis pass.
 //!
-//! Kernel-major analysis walks the probe source once *per kernel*: a
-//! chunked run re-materializes every window once per heavy analysis
-//! (~14× at metro scale). This module inverts the loop. **Pass A** drives
-//! every table-independent fold kernel — and the eight lookup-table
-//! builds — through a single [`fold_windows`] walk, so each window is
-//! decoded exactly once (`window_builds == n_windows`). **Pass B** then
-//! scores the finished tables: penalties need completed tables, so they
-//! cannot ride in pass A; on a chunked store they share one raw-chunk walk
+//! Every shared heavy analysis is a fold over the probe source. Walking
+//! the source once *per analysis* re-materializes every chunked window once
+//! per kernel; this module folds any requested set of analyses in **one**
+//! walk instead. **Pass A** drives every requested table-independent fold
+//! kernel — and the lookup-table builds — through a single
+//! [`fold_windows`] walk, so each window is decoded exactly once
+//! (`window_builds == n_windows`). **Pass B** then scores the finished
+//! tables: penalties need completed tables, so they cannot ride in pass A;
+//! on a chunked store they share one raw-chunk walk
 //! ([`ThroughputPenalty::evaluate_batch_chunked`]) that never builds a
 //! window at all.
 //!
-//! Byte identity with the kernel-major oracle follows from the fold
-//! contract (`crates/trace/src/fold.rs`): each kernel's single partial is
-//! threaded sequentially through the windows in network order, which is
-//! exactly the accumulation sequence of its solo `run_fold` walk.
+//! Each analysis owns one output slot in [`FusedOutputs`]. A slot the pass
+//! did not fill is filled on first touch by a walk of its own kernel
+//! through the same [`fold_windows`] path, so callers that never prepare
+//! still get every output. Byte identity between the two follows from the
+//! fold contract (`crates/trace/src/fold.rs`): each kernel's single
+//! partial is threaded sequentially through the windows in network order,
+//! whichever other kernels share the walk.
 //!
-//! [`FusedRunner`] exposes the in-flight form of the same pass for the
-//! streaming build: the simulate/analyze overlap consumer folds each
-//! sealed part as it arrives, then finishes against the completed chunk
-//! store.
+//! `FusedPass` is the in-flight form of the same pass: the streaming
+//! build folds each sealed part as it arrives, then finishes against the
+//! completed chunk store.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use mesh11_core::bitrate::adaptation::AdaptationKernel;
 use mesh11_core::bitrate::correlation::CurvesKernel;
@@ -107,7 +111,7 @@ pub struct CapMatrix {
 /// window build `ProbeSource::delivery_matrix` would cost on a chunked
 /// store.
 #[derive(Debug, Clone, Copy)]
-struct CapKernel;
+pub(crate) struct CapKernel;
 
 impl FoldKernel for CapKernel {
     type Partial = Option<CapMatrix>;
@@ -157,236 +161,419 @@ impl FoldKernel for CapKernel {
     }
 }
 
-/// Every shared heavy analysis, produced by one fused pass.
-pub struct FusedOutputs {
+/// One shared heavy analysis: the unit a figure declares it reads and
+/// [`FusedOutputs::prepare`] folds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Analysis {
     /// Fig 3.1 sigma populations.
-    pub sigmas: SnrSigmas,
-    /// §4 lookup tables, indexed by `lookup_slot(scope, phy)`.
-    pub tables: [LookupTableSet; 8],
-    /// Fig 4.4 penalties, indexed by `lookup_slot(scope, phy)`.
-    pub penalties: [ThroughputPenalty; 8],
-    /// Fig 4.5 SNR↔throughput curves, `[Bg, Ht]`.
-    pub curves: [SnrThroughputCurves; 2],
+    Sigmas,
+    /// One §4 lookup-table set.
+    Table(Scope, Phy),
+    /// One Fig 4.4 penalty (pass B; needs the matching table).
+    Penalty(Scope, Phy),
+    /// One PHY's Fig 4.5 SNR↔throughput curves.
+    Curves(Phy),
     /// Fig 4.6 / Table 4.1 online-strategy evaluations (b/g).
-    pub strategy_bg: Vec<StrategyEval>,
+    Strategy,
     /// §5 routing analyses (b/g, ≥5 APs).
-    pub routing_bg: Vec<OpportunisticAnalysis>,
-    /// Fig 5.2 asymmetry pools per rate (b/g).
-    pub asymmetry_bg: BTreeMap<BitRate, Vec<f64>>,
+    Routing,
+    /// Fig 5.2 asymmetry pools (b/g).
+    Asymmetry,
     /// §6 hidden-triple analysis (b/g, 10% threshold).
-    pub triples_bg: TripleAnalysis,
+    Triples,
     /// §6 per-(network, rate) ranges (b/g).
-    pub ranges_bg: BTreeMap<(NetworkId, BitRate), usize>,
-    /// `ext-adapt` outcomes.
-    pub adapters_ext: Vec<AdaptationOutcome>,
-    /// `ext-sweep` rows.
-    pub sweep_ext: Vec<(f64, Option<f64>)>,
+    Ranges,
+    /// `ext-adapt` replay outcomes.
+    Adapt,
+    /// `ext-sweep` threshold sweep.
+    Sweep,
     /// `ext-stability` churn/drift report (b/g).
-    pub stability_bg: LinkStability,
+    Stability,
     /// `ext-diversity` rows.
-    pub diversity_ext: Vec<(usize, f64, f64, usize)>,
-    /// `ext-ett` analyses (b/g, ≥5 APs).
-    pub ett_bg: Vec<EttAnalysis>,
-    /// `ext-cap` delivery matrix, when a qualifying network exists.
-    pub cap_ext: Option<CapMatrix>,
+    Diversity,
+    /// `ext-ett` analyses.
+    Ett,
+    /// `ext-cap` delivery matrix.
+    Cap,
 }
 
-/// The in-flight state of the fused pass: every pass-A kernel paired with
-/// its partial, ready to fold window views as they become resident.
-pub struct FusedRunner {
-    sig_sets: Running<SigmaKernel>,
-    sig_links: Running<SigmaKernel>,
-    sig_recent: Running<SigmaKernel>,
-    sig_nets: Running<SigmaKernel>,
-    tables: Vec<Running<TableBuildKernel>>,
-    curves_bg: Running<CurvesKernel>,
-    curves_ht: Running<CurvesKernel>,
-    strategy_bg: Running<StrategyKernel>,
-    routing_bg: Running<RoutingKernel>,
-    asymmetry_bg: Running<AsymmetryKernel>,
-    triples_bg: Running<TripleKernel>,
-    ranges_bg: Running<RangeKernel>,
-    adapters: Running<AdaptationKernel>,
-    sweep: Running<SweepKernel>,
-    stability_bg: Running<StabilityKernel>,
-    diversity: Running<DiversityKernel>,
-    ett_bg: Running<EttKernel>,
-    cap: Running<CapKernel>,
+impl Analysis {
+    /// Every analysis, in the order a fused walk schedules their kernels:
+    /// roughly most expensive first, so the work-sharing fan-out across
+    /// kernels does not end on one long straggler.
+    pub const ALL: [Analysis; 30] = {
+        use Phy::{Bg, Ht};
+        use Scope::{Ap, Global, Link, Network};
+        [
+            Analysis::Sigmas,
+            Analysis::Adapt,
+            Analysis::Routing,
+            Analysis::Sweep,
+            Analysis::Strategy,
+            Analysis::Curves(Bg),
+            Analysis::Curves(Ht),
+            Analysis::Diversity,
+            Analysis::Ett,
+            Analysis::Table(Global, Bg),
+            Analysis::Table(Global, Ht),
+            Analysis::Table(Network, Bg),
+            Analysis::Table(Network, Ht),
+            Analysis::Table(Ap, Bg),
+            Analysis::Table(Ap, Ht),
+            Analysis::Table(Link, Bg),
+            Analysis::Table(Link, Ht),
+            Analysis::Triples,
+            Analysis::Ranges,
+            Analysis::Asymmetry,
+            Analysis::Stability,
+            Analysis::Cap,
+            Analysis::Penalty(Global, Bg),
+            Analysis::Penalty(Global, Ht),
+            Analysis::Penalty(Network, Bg),
+            Analysis::Penalty(Network, Ht),
+            Analysis::Penalty(Ap, Bg),
+            Analysis::Penalty(Ap, Ht),
+            Analysis::Penalty(Link, Bg),
+            Analysis::Penalty(Link, Ht),
+        ]
+    };
 }
 
-impl Default for FusedRunner {
-    fn default() -> Self {
-        Self::new()
+/// The kernels of one analysis in flight, ready to fold windows and then
+/// distill its output.
+pub(crate) trait Job: Send {
+    /// The finished analysis.
+    type Output;
+    /// The analysis's kernels as object-safe running folds.
+    fn folds(&mut self) -> Vec<&mut dyn WindowFold>;
+    /// Distills the folded partials into the output.
+    fn finish(self) -> Self::Output;
+}
+
+impl<K: FoldKernel + Send> Job for Running<K> {
+    type Output = K::Output;
+    fn folds(&mut self) -> Vec<&mut dyn WindowFold> {
+        vec![self]
+    }
+    fn finish(self) -> K::Output {
+        Running::finish(self)
     }
 }
 
-impl FusedRunner {
-    /// Starts every pass-A kernel with a fresh partial.
-    pub fn new() -> Self {
-        // Table slots in lookup_slot order: (Global..Link) × (Bg, Ht).
-        let mut tables = Vec::with_capacity(8);
-        for scope in Scope::ALL {
-            for phy in [Phy::Bg, Phy::Ht] {
-                debug_assert_eq!(tables.len(), lookup_slot(scope, phy));
-                tables.push(Running::new(TableBuildKernel { scope, phy }));
-            }
-        }
-        Self {
-            sig_sets: Running::new(SigmaKernel(SigmaKind::ProbeSet)),
-            sig_links: Running::new(SigmaKernel(SigmaKind::Link)),
-            sig_recent: Running::new(SigmaKernel(SigmaKind::RecentK(SIGMA_RECENT_K))),
-            sig_nets: Running::new(SigmaKernel(SigmaKind::Network)),
-            tables,
-            curves_bg: Running::new(CurvesKernel { phy: Phy::Bg }),
-            curves_ht: Running::new(CurvesKernel { phy: Phy::Ht }),
-            strategy_bg: Running::new(StrategyKernel {
-                phy: Phy::Bg,
-                kinds: StrategyKind::ALL.to_vec(),
-            }),
-            routing_bg: Running::new(RoutingKernel {
-                phy: Phy::Bg,
-                min_aps: ROUTING_MIN_APS,
-            }),
-            asymmetry_bg: Running::new(AsymmetryKernel { phy: Phy::Bg }),
-            triples_bg: Running::new(TripleKernel {
-                phy: Phy::Bg,
-                threshold: TRIPLE_THRESHOLD,
-                rule: HearRule::Mean,
-            }),
-            ranges_bg: Running::new(RangeKernel {
-                phy: Phy::Bg,
-                threshold: TRIPLE_THRESHOLD,
-                rule: HearRule::Mean,
-            }),
-            adapters: Running::new(AdaptationKernel {
-                phy: Phy::Bg,
-                kinds: ext_adapt_kinds(),
-                overhead: EXT_ADAPT_OVERHEAD,
-            }),
-            sweep: Running::new(SweepKernel {
-                phy: Phy::Bg,
-                rate: one_mbps(),
-                thresholds: EXT_SWEEP_THRESHOLDS.to_vec(),
-                rule: HearRule::Mean,
-            }),
-            stability_bg: Running::new(StabilityKernel { phy: Phy::Bg }),
-            diversity: Running::new(DiversityKernel {
-                phy: Phy::Bg,
-                rate: one_mbps(),
-                min_aps: ROUTING_MIN_APS,
-                variant: EtxVariant::Etx1,
-            }),
-            ett_bg: Running::new(EttKernel {
-                phy: Phy::Bg,
-                min_aps: ROUTING_MIN_APS,
-            }),
-            cap: Running::new(CapKernel),
-        }
-    }
+/// The four Fig 3.1 sigma kernels, folded as four independent units.
+pub(crate) struct SigmasJob([Running<SigmaKernel>; 4]);
 
-    /// Every kernel as an object-safe running fold. The window-major
-    /// schedule drives them all through one window walk
-    /// ([`mesh11_trace::fold_windows`]); a kernel-major harness (see
-    /// `benches/window_major.rs`) can instead walk the source once per
-    /// kernel to measure what the shared walk saves.
-    pub fn kernels(&mut self) -> Vec<&mut dyn WindowFold> {
-        let mut ks: Vec<&mut dyn WindowFold> = vec![
-            &mut self.sig_sets,
-            &mut self.sig_links,
-            &mut self.sig_recent,
-            &mut self.sig_nets,
-            &mut self.curves_bg,
-            &mut self.curves_ht,
-            &mut self.strategy_bg,
-            &mut self.routing_bg,
-            &mut self.asymmetry_bg,
-            &mut self.triples_bg,
-            &mut self.ranges_bg,
-            &mut self.adapters,
-            &mut self.sweep,
-            &mut self.stability_bg,
-            &mut self.diversity,
-            &mut self.ett_bg,
-            &mut self.cap,
-        ];
-        ks.extend(self.tables.iter_mut().map(|t| t as &mut dyn WindowFold));
-        ks
+impl Job for SigmasJob {
+    type Output = SnrSigmas;
+    fn folds(&mut self) -> Vec<&mut dyn WindowFold> {
+        self.0
+            .iter_mut()
+            .map(|k| k as &mut dyn WindowFold)
+            .collect()
     }
-
-    /// Folds one network-aligned view (a resident chunk window, or one
-    /// sealed streaming part) into every kernel. Views must arrive in
-    /// network-id order — that is the byte-identity contract.
-    pub fn fold_view(&mut self, view: DatasetView<'_>) {
-        use rayon::prelude::*;
-        let mut kernels = self.kernels();
-        kernels.par_iter_mut().for_each(|k| k.fold_window(view));
-    }
-
-    /// Finishes pass A and runs pass B (penalties) against `src`, which
-    /// must cover exactly the probes this runner folded.
-    pub fn finish(self, src: &ProbeSource<'_>) -> FusedOutputs {
-        let sigmas = SnrSigmas {
-            sets: self.sig_sets.finish(),
-            links: self.sig_links.finish(),
-            recent: self.sig_recent.finish(),
-            nets: self.sig_nets.finish(),
-        };
-        let tables: [LookupTableSet; 8] = self
-            .tables
-            .into_iter()
-            .map(Running::finish)
-            .collect::<Vec<_>>()
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("eight table slots"));
-        let penalties = evaluate_penalties(src, &tables);
-        FusedOutputs {
-            sigmas,
-            tables,
-            penalties,
-            curves: [self.curves_bg.finish(), self.curves_ht.finish()],
-            strategy_bg: self.strategy_bg.finish(),
-            routing_bg: self.routing_bg.finish(),
-            asymmetry_bg: self.asymmetry_bg.finish(),
-            triples_bg: self.triples_bg.finish(),
-            ranges_bg: self.ranges_bg.finish(),
-            adapters_ext: self.adapters.finish(),
-            sweep_ext: self.sweep.finish(),
-            stability_bg: self.stability_bg.finish(),
-            diversity_ext: self.diversity.finish(),
-            ett_bg: self.ett_bg.finish(),
-            cap_ext: self.cap.finish(),
+    fn finish(self) -> SnrSigmas {
+        let [sets, links, recent, nets] = self.0.map(Running::finish);
+        SnrSigmas {
+            sets,
+            links,
+            recent,
+            nets,
         }
     }
 }
 
-/// Pass B: one penalty per table, in `lookup_slot` order. On a chunked
-/// store all eight share a single raw-chunk walk (zero window builds); on
-/// a resident view each table scores the whole view directly.
-fn evaluate_penalties(
+pub(crate) fn sigmas_job() -> SigmasJob {
+    SigmasJob(
+        [
+            SigmaKind::ProbeSet,
+            SigmaKind::Link,
+            SigmaKind::RecentK(SIGMA_RECENT_K),
+            SigmaKind::Network,
+        ]
+        .map(|kind| Running::new(SigmaKernel(kind))),
+    )
+}
+
+pub(crate) fn table_job(scope: Scope, phy: Phy) -> Running<TableBuildKernel> {
+    Running::new(TableBuildKernel { scope, phy })
+}
+
+pub(crate) fn curves_job(phy: Phy) -> Running<CurvesKernel> {
+    Running::new(CurvesKernel { phy })
+}
+
+pub(crate) fn strategy_job() -> Running<StrategyKernel> {
+    Running::new(StrategyKernel {
+        phy: Phy::Bg,
+        kinds: StrategyKind::ALL.to_vec(),
+    })
+}
+
+pub(crate) fn routing_job() -> Running<RoutingKernel> {
+    Running::new(RoutingKernel {
+        phy: Phy::Bg,
+        min_aps: ROUTING_MIN_APS,
+    })
+}
+
+pub(crate) fn asymmetry_job() -> Running<AsymmetryKernel> {
+    Running::new(AsymmetryKernel { phy: Phy::Bg })
+}
+
+pub(crate) fn triples_job() -> Running<TripleKernel> {
+    Running::new(TripleKernel {
+        phy: Phy::Bg,
+        threshold: TRIPLE_THRESHOLD,
+        rule: HearRule::Mean,
+    })
+}
+
+pub(crate) fn ranges_job() -> Running<RangeKernel> {
+    Running::new(RangeKernel {
+        phy: Phy::Bg,
+        threshold: TRIPLE_THRESHOLD,
+        rule: HearRule::Mean,
+    })
+}
+
+pub(crate) fn adapt_job() -> Running<AdaptationKernel> {
+    Running::new(AdaptationKernel {
+        phy: Phy::Bg,
+        kinds: ext_adapt_kinds(),
+        overhead: EXT_ADAPT_OVERHEAD,
+    })
+}
+
+pub(crate) fn sweep_job() -> Running<SweepKernel> {
+    Running::new(SweepKernel {
+        phy: Phy::Bg,
+        rate: one_mbps(),
+        thresholds: EXT_SWEEP_THRESHOLDS.to_vec(),
+        rule: HearRule::Mean,
+    })
+}
+
+pub(crate) fn stability_job() -> Running<StabilityKernel> {
+    Running::new(StabilityKernel { phy: Phy::Bg })
+}
+
+pub(crate) fn diversity_job() -> Running<DiversityKernel> {
+    Running::new(DiversityKernel {
+        phy: Phy::Bg,
+        rate: one_mbps(),
+        min_aps: ROUTING_MIN_APS,
+        variant: EtxVariant::Etx1,
+    })
+}
+
+pub(crate) fn ett_job() -> Running<EttKernel> {
+    Running::new(EttKernel {
+        phy: Phy::Bg,
+        min_aps: ROUTING_MIN_APS,
+    })
+}
+
+pub(crate) fn cap_job() -> Running<CapKernel> {
+    Running::new(CapKernel)
+}
+
+/// Runs one analysis alone: a walk of just its kernels through
+/// [`fold_windows`].
+pub(crate) fn run_alone<J: Job>(src: &ProbeSource<'_>, mut job: J) -> J::Output {
+    fold_windows(src, &mut job.folds());
+    job.finish()
+}
+
+/// Pass B: one penalty per table, in order. On a chunked store all share a
+/// single raw-chunk walk (zero window builds); on a resident view each
+/// table scores the whole view directly.
+pub(crate) fn evaluate_penalties(
     src: &ProbeSource<'_>,
-    tables: &[LookupTableSet; 8],
-) -> [ThroughputPenalty; 8] {
-    let out: Vec<ThroughputPenalty> = match src {
-        ProbeSource::Chunked(c) => {
-            let refs: Vec<&LookupTableSet> = tables.iter().collect();
-            ThroughputPenalty::evaluate_batch_chunked(c, &refs)
-        }
+    tables: &[&LookupTableSet],
+) -> Vec<ThroughputPenalty> {
+    match src {
+        ProbeSource::Chunked(c) => ThroughputPenalty::evaluate_batch_chunked(c, tables),
         ProbeSource::Whole(_) => tables
             .iter()
             .map(|t| ThroughputPenalty::evaluate_from(src, t))
             .collect(),
-    };
-    out.try_into()
-        .unwrap_or_else(|_| unreachable!("eight penalty slots"))
+    }
 }
 
-/// Runs the fused pass to completion over a probe source: one window walk
-/// for pass A, then pass B against the finished tables.
-pub fn run_fused(src: &ProbeSource<'_>) -> FusedOutputs {
-    let mut runner = FusedRunner::new();
-    {
-        let mut kernels = runner.kernels();
-        fold_windows(src, &mut kernels);
+/// One output slot per shared heavy analysis. Slots fill once — from a
+/// fused pass, or from a walk of the analysis's own kernels on first
+/// touch — and never change afterwards.
+#[derive(Default)]
+pub struct FusedOutputs {
+    pub(crate) sigmas: OnceLock<SnrSigmas>,
+    /// Indexed by `lookup_slot(scope, phy)`.
+    pub(crate) tables: [OnceLock<LookupTableSet>; 8],
+    /// Indexed by `lookup_slot(scope, phy)`.
+    pub(crate) penalties: [OnceLock<ThroughputPenalty>; 8],
+    /// `[Bg, Ht]`.
+    pub(crate) curves: [OnceLock<SnrThroughputCurves>; 2],
+    pub(crate) strategy_bg: OnceLock<Vec<StrategyEval>>,
+    pub(crate) routing_bg: OnceLock<Vec<OpportunisticAnalysis>>,
+    pub(crate) asymmetry_bg: OnceLock<BTreeMap<BitRate, Vec<f64>>>,
+    pub(crate) triples_bg: OnceLock<TripleAnalysis>,
+    pub(crate) ranges_bg: OnceLock<BTreeMap<(NetworkId, BitRate), usize>>,
+    pub(crate) adapters_ext: OnceLock<Vec<AdaptationOutcome>>,
+    pub(crate) sweep_ext: OnceLock<Vec<(f64, Option<f64>)>>,
+    pub(crate) stability_bg: OnceLock<LinkStability>,
+    pub(crate) diversity_ext: OnceLock<Vec<(usize, f64, f64, usize)>>,
+    pub(crate) ett_bg: OnceLock<Vec<EttAnalysis>>,
+    pub(crate) cap_ext: OnceLock<Option<CapMatrix>>,
+}
+
+impl FusedOutputs {
+    /// Fills every requested slot that is still empty with one fused walk
+    /// of `src` (pass A) plus one penalty pass (pass B). `src` must be the
+    /// source every other fill of these slots reads.
+    pub fn prepare(&self, src: &ProbeSource<'_>, which: &[Analysis]) {
+        let mut pass = FusedPass::new(self, which);
+        pass.fold(src);
+        pass.finish(src);
     }
-    runner.finish(src)
+}
+
+pub(crate) fn curves_slot(phy: Phy) -> usize {
+    match phy {
+        Phy::Bg => 0,
+        Phy::Ht => 1,
+    }
+}
+
+/// A job bound to the slot its output fills, type-erased so one walk can
+/// drive every requested analysis.
+trait Pending: Send {
+    fn folds(&mut self) -> Vec<&mut dyn WindowFold>;
+    fn store(self: Box<Self>);
+}
+
+struct Fill<'a, J: Job> {
+    job: J,
+    slot: &'a OnceLock<J::Output>,
+}
+
+impl<J: Job> Pending for Fill<'_, J>
+where
+    J::Output: Send + Sync,
+{
+    fn folds(&mut self) -> Vec<&mut dyn WindowFold> {
+        self.job.folds()
+    }
+
+    fn store(self: Box<Self>) {
+        // A concurrent fill of the same slot computed the same bytes.
+        let _ = self.slot.set(self.job.finish());
+    }
+}
+
+/// The in-flight fused pass over a set of analyses whose slots were empty
+/// when it started: fold every view through [`FusedPass::fold`] in
+/// network order, then [`FusedPass::finish`] against the whole source.
+pub(crate) struct FusedPass<'a> {
+    outputs: &'a FusedOutputs,
+    pending: Vec<Box<dyn Pending + 'a>>,
+    /// `lookup_slot`s whose penalties pass B fills.
+    penalties: Vec<usize>,
+}
+
+impl<'a> FusedPass<'a> {
+    /// Starts the kernels of every analysis in `which` whose slot is empty
+    /// (a requested penalty also starts its table), in [`Analysis::ALL`]
+    /// order whatever the request order.
+    pub(crate) fn new(outputs: &'a FusedOutputs, which: &[Analysis]) -> Self {
+        fn add<'a, J: Job + 'a>(
+            pending: &mut Vec<Box<dyn Pending + 'a>>,
+            slot: &'a OnceLock<J::Output>,
+            job: impl FnOnce() -> J,
+        ) where
+            J::Output: Send + Sync,
+        {
+            if slot.get().is_none() {
+                pending.push(Box::new(Fill { job: job(), slot }));
+            }
+        }
+        let o = outputs;
+        let mut pending: Vec<Box<dyn Pending + 'a>> = Vec::new();
+        let mut penalties = Vec::new();
+        let wanted = |a: Analysis| {
+            which.contains(&a)
+                || matches!(a, Analysis::Table(s, p) if which.contains(&Analysis::Penalty(s, p)))
+        };
+        for a in Analysis::ALL.into_iter().filter(|&a| wanted(a)) {
+            match a {
+                Analysis::Sigmas => add(&mut pending, &o.sigmas, sigmas_job),
+                Analysis::Table(s, p) => add(&mut pending, &o.tables[lookup_slot(s, p)], || {
+                    table_job(s, p)
+                }),
+                Analysis::Penalty(s, p) => {
+                    if o.penalties[lookup_slot(s, p)].get().is_none() {
+                        penalties.push(lookup_slot(s, p));
+                    }
+                }
+                Analysis::Curves(p) => {
+                    add(&mut pending, &o.curves[curves_slot(p)], || curves_job(p))
+                }
+                Analysis::Strategy => add(&mut pending, &o.strategy_bg, strategy_job),
+                Analysis::Routing => add(&mut pending, &o.routing_bg, routing_job),
+                Analysis::Asymmetry => add(&mut pending, &o.asymmetry_bg, asymmetry_job),
+                Analysis::Triples => add(&mut pending, &o.triples_bg, triples_job),
+                Analysis::Ranges => add(&mut pending, &o.ranges_bg, ranges_job),
+                Analysis::Adapt => add(&mut pending, &o.adapters_ext, adapt_job),
+                Analysis::Sweep => add(&mut pending, &o.sweep_ext, sweep_job),
+                Analysis::Stability => add(&mut pending, &o.stability_bg, stability_job),
+                Analysis::Diversity => add(&mut pending, &o.diversity_ext, diversity_job),
+                Analysis::Ett => add(&mut pending, &o.ett_bg, ett_job),
+                Analysis::Cap => add(&mut pending, &o.cap_ext, cap_job),
+            }
+        }
+        Self {
+            outputs,
+            pending,
+            penalties,
+        }
+    }
+
+    /// Whether every requested slot was already filled.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty() && self.penalties.is_empty()
+    }
+
+    /// Folds `src` into every pass-A kernel: one window walk, each window
+    /// folded by all kernels concurrently. Successive calls must cover
+    /// consecutive network runs in id order — the byte-identity contract.
+    pub(crate) fn fold(&mut self, src: &ProbeSource<'_>) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut folds: Vec<&mut dyn WindowFold> =
+            self.pending.iter_mut().flat_map(|p| p.folds()).collect();
+        fold_windows(src, &mut folds);
+    }
+
+    /// Stores pass A's outputs, then runs pass B (penalties) against `src`,
+    /// which must cover exactly the probes the pass folded.
+    pub(crate) fn finish(self, src: &ProbeSource<'_>) {
+        for p in self.pending {
+            p.store();
+        }
+        if self.penalties.is_empty() {
+            return;
+        }
+        let o = self.outputs;
+        let tables: Vec<&LookupTableSet> = self
+            .penalties
+            .iter()
+            .map(|&k| {
+                o.tables[k]
+                    .get()
+                    .expect("pass A filled every penalty's table")
+            })
+            .collect();
+        for (&k, penalty) in self.penalties.iter().zip(evaluate_penalties(src, &tables)) {
+            let _ = o.penalties[k].set(penalty);
+        }
+    }
 }

@@ -8,9 +8,9 @@
 //!   [`mesh11_core::report::FigureData`] with the paper-expected values
 //!   recorded as notes. The `repro` binary prints them; `EXPERIMENTS.md`
 //!   records a full run.
-//! * [`fused`] — the window-major fused analysis pass: every heavy kernel
-//!   folds each window while it is resident, so a chunked run decodes
-//!   every window exactly once instead of once per kernel.
+//! * [`fused`] — the demand-driven fused analysis pass: every requested
+//!   heavy kernel folds each window while it is resident, so a chunked run
+//!   decodes every window exactly once instead of once per kernel.
 //! * [`ensemble`] — cross-seed aggregation for multi-seed runs
 //!   (`repro --seeds N`): mean ± 95% t-interval series under
 //!   `out/figures_ci/`.
@@ -29,8 +29,8 @@ pub mod setup;
 pub mod timing;
 
 pub use ensemble::{aggregate_ci, group_by_figure, max_relative_halfwidth};
-pub use fused::{CapMatrix, FusedOutputs, FusedRunner, SnrSigmas};
+pub use fused::{Analysis, CapMatrix, FusedOutputs, SnrSigmas};
 pub use setup::{
-    AnalysisMode, DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, DEFAULT_METRO_FACTOR,
+    DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, DEFAULT_METRO_FACTOR,
 };
 pub use timing::{peak_rss_mb, PhaseTimings};

@@ -3,19 +3,14 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use mesh11_core::bitrate::strategy::evaluate_strategies_from;
 use mesh11_core::bitrate::{
-    link_stability_from, simulate_adapters_from, AdaptationOutcome, LinkStability, LookupTableSet,
-    Scope, SnrThroughputCurves, StrategyEval, StrategyKind, ThroughputPenalty,
+    AdaptationOutcome, LinkStability, LookupTableSet, Scope, SnrThroughputCurves, StrategyEval,
+    ThroughputPenalty,
 };
 use mesh11_core::mobility::MobilityReport;
-use mesh11_core::routing::diversity::analyze_diversity_from;
-use mesh11_core::routing::ett::{analyze_ett_from, EttAnalysis};
-use mesh11_core::routing::improvement::{analyze_dataset_from, OpportunisticAnalysis};
-use mesh11_core::routing::{asymmetry::asymmetry_by_rate_from, EtxVariant};
-use mesh11_core::triples::{
-    hidden::TripleAnalysis, range::range_by_rate_from, sweep::threshold_sweep_from, HearRule,
-};
+use mesh11_core::routing::ett::EttAnalysis;
+use mesh11_core::routing::improvement::OpportunisticAnalysis;
+use mesh11_core::triples::hidden::TripleAnalysis;
 use mesh11_phy::{shared_success_table, BitRate, PerModel, Phy, SuccessTable};
 use mesh11_sim::{ClientProbeTrace, SimConfig};
 use mesh11_topo::{Campaign, CampaignSpec, NetworkSpec};
@@ -24,7 +19,7 @@ use mesh11_trace::{
     DatasetIndex, DatasetView, NetworkId, NetworkMeta, ProbeSource,
 };
 
-use crate::fused::{self, CapMatrix, FusedOutputs, FusedRunner, SnrSigmas};
+use crate::fused::{self, Analysis, CapMatrix, FusedOutputs, FusedPass, Job, SnrSigmas};
 
 /// The §6 hearing threshold (10%) used by every cached triple analysis.
 pub const TRIPLE_THRESHOLD: f64 = 0.10;
@@ -58,6 +53,12 @@ pub struct BuildTimings {
     /// streaming build's overlap consumer (part folds + pass finish).
     /// Zero for the two-phase builds.
     pub stream_analyze_s: f64,
+    /// The overlap consumer's part-fold seconds (the first term of
+    /// `stream_analyze_s`). Zero for the two-phase builds.
+    pub stream_fold_s: f64,
+    /// Of `stream_fold_s`, the seconds spent inside the simulate wall
+    /// (before the producer finished). Zero for the two-phase builds.
+    pub stream_overlap_s: f64,
 }
 
 /// Wall-clock phases of a batched multi-seed build; see
@@ -213,32 +214,9 @@ pub enum DataStore {
     Chunked(Box<ChunkedDataset>),
 }
 
-/// How the shared heavy analyses are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisMode {
-    /// One walk of the probe source per kernel — the legacy oracle path.
-    /// Each analysis stays lazy: only what a figure touches is computed.
-    KernelMajor,
-    /// One fused walk for every kernel: each window is materialized
-    /// exactly once, every kernel folds it while resident. The first
-    /// analysis accessor triggers the whole pass.
-    WindowMajor,
-}
-
-impl AnalysisMode {
-    /// The default for a data mode: chunked stores are window-major (the
-    /// whole point is to not rebuild windows per kernel), resident stores
-    /// stay kernel-major (windows are free and laziness wins).
-    pub fn default_for(mode: &DataStore) -> Self {
-        match mode {
-            DataStore::InMemory(_) => AnalysisMode::KernelMajor,
-            DataStore::Chunked(_) => AnalysisMode::WindowMajor,
-        }
-    }
-}
-
-/// A materialized reproduction run: the dataset plus lazily computed heavy
-/// analyses shared across figures.
+/// A materialized reproduction run: the dataset plus the shared heavy
+/// analyses, each computed once — by [`ReproContext::prepare`]'s fused
+/// walk, or on first touch by a walk of its own kernels.
 pub struct ReproContext {
     /// The simulated probe reports — resident or chunked.
     store: DataStore,
@@ -251,33 +229,11 @@ pub struct ReproContext {
     /// experiments that need topology ground truth (e.g. client probing)
     /// use it; the paper figures never do.
     campaign: Option<Campaign>,
-    /// How the heavy analyses below are scheduled; see [`AnalysisMode`].
-    analysis_mode: AnalysisMode,
-    /// The fused pass's outputs: filled by the first accessor in
-    /// window-major mode, pre-seeded by the streaming build, and left
-    /// empty in kernel-major mode (the per-field caches below serve).
-    fused: OnceLock<FusedOutputs>,
+    /// One output slot per shared heavy analysis.
+    fused: FusedOutputs,
     client_probes: OnceLock<Option<ClientProbePass>>,
     index: OnceLock<DatasetIndex>,
-    routing_bg: OnceLock<Vec<OpportunisticAnalysis>>,
-    // One slot per (scope, phy): Figs 4.1–4.4 all key off the same tables.
-    lookup_tables: [OnceLock<LookupTableSet>; 8],
-    strategy_evals_bg: OnceLock<Vec<StrategyEval>>,
-    triples_bg: OnceLock<TripleAnalysis>,
-    ranges_bg: OnceLock<BTreeMap<(NetworkId, BitRate), usize>>,
     mobility: OnceLock<MobilityReport>,
-    // Kernel-major lazy caches for the analyses the fused pass also
-    // produces (fig 3.1, 4.4, 4.5, 5.2, and the ext figures).
-    snr_sigmas: OnceLock<SnrSigmas>,
-    curves: [OnceLock<SnrThroughputCurves>; 2],
-    penalties: [OnceLock<ThroughputPenalty>; 8],
-    asymmetry_bg: OnceLock<BTreeMap<BitRate, Vec<f64>>>,
-    adapters_ext: OnceLock<Vec<AdaptationOutcome>>,
-    sweep_ext: OnceLock<Vec<(f64, Option<f64>)>>,
-    stability_bg: OnceLock<LinkStability>,
-    diversity_ext: OnceLock<Vec<(usize, f64, f64, usize)>>,
-    ett_bg: OnceLock<Vec<EttAnalysis>>,
-    cap_ext: OnceLock<Option<CapMatrix>>,
 }
 
 pub(crate) fn lookup_slot(scope: Scope, phy: Phy) -> usize {
@@ -384,6 +340,8 @@ impl ReproContext {
                 client_probe_s,
                 clients_simulated,
                 stream_analyze_s: 0.0,
+                stream_fold_s: 0.0,
+                stream_overlap_s: 0.0,
             },
         )
     }
@@ -397,11 +355,9 @@ impl ReproContext {
     ///
     /// Parts arrive as consecutive network runs in id order — exactly the
     /// network-aligned partition the fold contract requires — so the
-    /// resulting figures are byte-identical to both two-phase paths. The
-    /// returned context is kernel-major with the fused outputs pre-seeded:
-    /// every analysis accessor serves from the overlap pass, and nothing
-    /// re-walks the store (beyond pass B's raw-chunk walk, zero window
-    /// builds happen at all).
+    /// resulting figures are byte-identical to the two-phase build. The
+    /// pass fills every analysis slot, so nothing re-walks the store
+    /// (beyond pass B's raw-chunk walk, zero window builds happen at all).
     pub fn build_timed_streaming(
         scale: Scale,
         seed: u64,
@@ -420,9 +376,11 @@ impl ReproContext {
         // would deadlock at --threads 1). Thread-count overrides are
         // thread-local, so re-install the producer's budget explicitly.
         let threads = rayon::current_num_threads();
+        let fused = FusedOutputs::default();
         let t1 = std::time::Instant::now();
         let (tx, rx) = std::sync::mpsc::sync_channel::<Dataset>(2);
-        let ((chunked, runner, fold_s), stats, simulate_s) = std::thread::scope(|s| {
+        let ((chunked, pass, fold_s, drained), stats, sim_end) = std::thread::scope(|s| {
+            let mut pass = FusedPass::new(&fused, &Analysis::ALL);
             let consumer = s.spawn(move || {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -430,13 +388,12 @@ impl ReproContext {
                     .expect("build analysis pool");
                 pool.install(move || {
                     let mut builder = ChunkedDatasetBuilder::new(cfg);
-                    let mut runner = FusedRunner::new();
                     let mut fold_s = 0.0f64;
                     let mut io_err: Option<std::io::Error> = None;
                     while let Ok(part) = rx.recv() {
                         let tb = std::time::Instant::now();
                         let ix = DatasetIndex::build(&part);
-                        runner.fold_view(DatasetView::new(&part, &ix));
+                        pass.fold(&ProbeSource::Whole(DatasetView::new(&part, &ix)));
                         drop(ix);
                         if io_err.is_none() {
                             if let Err(e) = builder.add(part) {
@@ -445,43 +402,48 @@ impl ReproContext {
                         }
                         fold_s += tb.elapsed().as_secs_f64();
                     }
+                    let drained = std::time::Instant::now();
                     if let Some(e) = io_err {
                         panic!("chunk store spill failed during streaming: {e}");
                     }
                     let chunked = builder
                         .finish()
                         .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
-                    (chunked, runner, fold_s)
+                    (chunked, pass, fold_s, drained)
                 })
             });
             let stats =
                 config.stream_campaign_with_table(&campaign, table, METRO_BATCH_NETWORKS, |part| {
                     tx.send(part).expect("analysis consumer hung up")
                 });
-            let simulate_s = t1.elapsed().as_secs_f64();
+            let sim_end = std::time::Instant::now();
             drop(tx);
             (
                 consumer.join().expect("analysis consumer panicked"),
                 stats,
-                simulate_s,
+                sim_end,
             )
         });
+        let simulate_s = sim_end.duration_since(t1).as_secs_f64();
+        // Part folds still running after the producer finished fall
+        // outside the simulate wall; the rest overlapped it.
+        let tail_s = drained.saturating_duration_since(sim_end).as_secs_f64();
+        let stream_overlap_s = (fold_s - tail_s).max(0.0);
         // Finish the fused pass: pass-A finish plus pass B (penalties over
         // the raw chunks). This is the only analysis left outside the
         // simulate wall.
         let t2 = std::time::Instant::now();
-        let fused = runner.finish(&ProbeSource::Chunked(&chunked));
+        pass.finish(&ProbeSource::Chunked(&chunked));
         let finish_s = t2.elapsed().as_secs_f64();
-        let mut this = Self::assemble(
-            DataStore::Chunked(Box::new(chunked)),
-            config,
-            seed,
-            Some(campaign),
-        );
-        // The overlap pass IS the fused pass: serve accessors from it and
-        // keep the mode kernel-major so nothing re-runs it.
-        this.analysis_mode = AnalysisMode::KernelMajor;
-        let _ = this.fused.set(fused);
+        let this = Self {
+            fused,
+            ..Self::assemble(
+                DataStore::Chunked(Box::new(chunked)),
+                config,
+                seed,
+                Some(campaign),
+            )
+        };
         let t3 = std::time::Instant::now();
         let clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
         let client_probe_s = t3.elapsed().as_secs_f64();
@@ -494,6 +456,8 @@ impl ReproContext {
                 client_probe_s,
                 clients_simulated,
                 stream_analyze_s: fold_s + finish_s,
+                stream_fold_s: fold_s,
+                stream_overlap_s,
             },
         )
     }
@@ -565,59 +529,45 @@ impl ReproContext {
         campaign: Option<Campaign>,
     ) -> Self {
         Self {
-            analysis_mode: AnalysisMode::default_for(&store),
             store,
             config,
             seed,
             campaign,
-            fused: OnceLock::new(),
+            fused: FusedOutputs::default(),
             client_probes: OnceLock::new(),
             index: OnceLock::new(),
-            routing_bg: OnceLock::new(),
-            lookup_tables: Default::default(),
-            strategy_evals_bg: OnceLock::new(),
-            triples_bg: OnceLock::new(),
-            ranges_bg: OnceLock::new(),
             mobility: OnceLock::new(),
-            snr_sigmas: OnceLock::new(),
-            curves: Default::default(),
-            penalties: Default::default(),
-            asymmetry_bg: OnceLock::new(),
-            adapters_ext: OnceLock::new(),
-            sweep_ext: OnceLock::new(),
-            stability_bg: OnceLock::new(),
-            diversity_ext: OnceLock::new(),
-            ett_bg: OnceLock::new(),
-            cap_ext: OnceLock::new(),
         }
     }
 
-    /// The analysis scheduling mode in effect.
-    pub fn analysis_mode(&self) -> AnalysisMode {
-        self.analysis_mode
-    }
-
-    /// Overrides the analysis scheduling mode (`repro --window-major` /
-    /// `--kernel-major`). Call before touching any analysis accessor.
-    pub fn set_analysis_mode(&mut self, mode: AnalysisMode) {
-        assert!(
-            self.fused.get().is_none(),
-            "analysis mode must be set before any analysis runs"
-        );
-        self.analysis_mode = mode;
-    }
-
-    /// The fused outputs, when this context runs (or ran) the fused pass:
-    /// window-major contexts compute it on first touch; kernel-major
-    /// contexts only return one pre-seeded by the streaming build.
-    fn fused_outputs(&self) -> Option<&FusedOutputs> {
-        match self.analysis_mode {
-            AnalysisMode::WindowMajor => Some(
-                self.fused
-                    .get_or_init(|| fused::run_fused(&self.probe_source())),
-            ),
-            AnalysisMode::KernelMajor => self.fused.get(),
+    /// Fills the output slot of every analysis in `which` with **one**
+    /// fused walk of the probe source (pass A), plus one penalty pass
+    /// (pass B) when a penalty is requested. Slots already filled are
+    /// skipped; with nothing left to fill the source is never touched.
+    ///
+    /// Call it on the driving thread before fanning figure builders out:
+    /// the walk then fans its kernels over the whole thread budget, and
+    /// the builders find their inputs ready instead of each walking the
+    /// source for its own. Accessors whose slot it did not fill still
+    /// work — they walk their own kernels on first touch.
+    pub fn prepare(&self, which: &[Analysis]) {
+        let mut pass = FusedPass::new(&self.fused, which);
+        if pass.is_empty() {
+            return;
         }
+        let src = self.probe_source();
+        pass.fold(&src);
+        pass.finish(&src);
+    }
+
+    /// The output in `slot`, filled on first touch by a walk of `job`'s
+    /// kernels alone.
+    fn fill<'a, J: Job>(
+        &'a self,
+        slot: &'a OnceLock<J::Output>,
+        job: impl FnOnce() -> J,
+    ) -> &'a J::Output {
+        slot.get_or_init(|| fused::run_alone(&self.probe_source(), job()))
     }
 
     /// The campaign this context simulated, when known.
@@ -748,205 +698,91 @@ impl ReproContext {
     /// The §5 per-(network, rate) routing analyses over b/g networks with
     /// ≥5 APs — computed once, shared by Figs 5.1 and 5.3–5.5.
     pub fn routing_bg(&self) -> &[OpportunisticAnalysis] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.routing_bg;
-        }
-        self.routing_bg.get_or_init(|| {
-            analyze_dataset_from(&self.probe_source(), Phy::Bg, fused::ROUTING_MIN_APS)
-        })
+        self.fill(&self.fused.routing_bg, fused::routing_job)
     }
 
     /// The §4 SNR→rate look-up tables for one (scope, phy) — built once
     /// and shared by Figs 4.1–4.4 (and anything else keying off them).
     pub fn lookup_tables(&self, scope: Scope, phy: Phy) -> &LookupTableSet {
-        if let Some(f) = self.fused_outputs() {
-            return &f.tables[lookup_slot(scope, phy)];
-        }
-        self.lookup_tables[lookup_slot(scope, phy)]
-            .get_or_init(|| LookupTableSet::build_from(&self.probe_source(), scope, phy))
+        self.fill(&self.fused.tables[lookup_slot(scope, phy)], || {
+            fused::table_job(scope, phy)
+        })
     }
 
     /// The §4.5 online-strategy evaluations over b/g — shared by Fig 4.6
     /// and Table 4.1.
     pub fn strategy_evals_bg(&self) -> &[StrategyEval] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.strategy_bg;
-        }
-        self.strategy_evals_bg.get_or_init(|| {
-            evaluate_strategies_from(&self.probe_source(), Phy::Bg, &StrategyKind::ALL)
-        })
+        self.fill(&self.fused.strategy_bg, fused::strategy_job)
     }
 
     /// The §6 hidden-triple analysis over b/g at the paper's 10%
     /// threshold — shared by Fig 6.1 and §6.3.
     pub fn triples_bg(&self) -> &TripleAnalysis {
-        if let Some(f) = self.fused_outputs() {
-            return &f.triples_bg;
-        }
-        self.triples_bg.get_or_init(|| {
-            TripleAnalysis::run_from(
-                &self.probe_source(),
-                Phy::Bg,
-                TRIPLE_THRESHOLD,
-                HearRule::Mean,
-            )
-        })
+        self.fill(&self.fused.triples_bg, fused::triples_job)
     }
 
     /// The §6 per-(network, rate) interference ranges over b/g — shared by
     /// Fig 6.2 and §6.3.
     pub fn ranges_bg(&self) -> &BTreeMap<(NetworkId, BitRate), usize> {
-        if let Some(f) = self.fused_outputs() {
-            return &f.ranges_bg;
-        }
-        self.ranges_bg.get_or_init(|| {
-            range_by_rate_from(
-                &self.probe_source(),
-                Phy::Bg,
-                TRIPLE_THRESHOLD,
-                HearRule::Mean,
-            )
-        })
+        self.fill(&self.fused.ranges_bg, fused::ranges_job)
     }
 
     /// The Fig 3.1 sigma populations (within-set, per-link, recent-k,
     /// per-network).
     pub fn snr_sigmas(&self) -> &SnrSigmas {
-        if let Some(f) = self.fused_outputs() {
-            return &f.sigmas;
-        }
-        self.snr_sigmas.get_or_init(|| {
-            let src = self.probe_source();
-            SnrSigmas {
-                sets: mesh11_trace::snrstats::probe_set_sigmas_from(&src),
-                links: mesh11_trace::snrstats::link_sigmas_from(&src),
-                recent: mesh11_trace::snrstats::recent_k_sigmas_from(&src, fused::SIGMA_RECENT_K),
-                nets: mesh11_trace::snrstats::network_sigmas_from(&src),
-            }
-        })
+        self.fill(&self.fused.sigmas, fused::sigmas_job)
     }
 
     /// The Fig 4.5 SNR↔throughput curves for one PHY.
     pub fn snr_curves(&self, phy: Phy) -> &SnrThroughputCurves {
-        let slot = match phy {
-            Phy::Bg => 0,
-            Phy::Ht => 1,
-        };
-        if let Some(f) = self.fused_outputs() {
-            return &f.curves[slot];
-        }
-        self.curves[slot].get_or_init(|| SnrThroughputCurves::build_from(&self.probe_source(), phy))
+        self.fill(&self.fused.curves[fused::curves_slot(phy)], || {
+            fused::curves_job(phy)
+        })
     }
 
     /// The Fig 4.4 penalty of one (scope, phy) table against the dataset.
     pub fn penalty(&self, scope: Scope, phy: Phy) -> &ThroughputPenalty {
-        if let Some(f) = self.fused_outputs() {
-            return &f.penalties[lookup_slot(scope, phy)];
-        }
-        self.penalties[lookup_slot(scope, phy)].get_or_init(|| {
-            ThroughputPenalty::evaluate_from(&self.probe_source(), self.lookup_tables(scope, phy))
+        let table = self.lookup_tables(scope, phy);
+        self.fused.penalties[lookup_slot(scope, phy)].get_or_init(|| {
+            let mut one = fused::evaluate_penalties(&self.probe_source(), &[table]);
+            one.pop().expect("one penalty per table")
         })
     }
 
     /// The Fig 5.2 asymmetry pools per rate (b/g).
     pub fn asymmetry_bg(&self) -> &BTreeMap<BitRate, Vec<f64>> {
-        if let Some(f) = self.fused_outputs() {
-            return &f.asymmetry_bg;
-        }
-        self.asymmetry_bg
-            .get_or_init(|| asymmetry_by_rate_from(&self.probe_source(), Phy::Bg))
+        self.fill(&self.fused.asymmetry_bg, fused::asymmetry_job)
     }
 
     /// The `ext-adapt` replay outcomes.
     pub fn adapters_ext(&self) -> &[AdaptationOutcome] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.adapters_ext;
-        }
-        self.adapters_ext.get_or_init(|| {
-            simulate_adapters_from(
-                &self.probe_source(),
-                Phy::Bg,
-                &fused::ext_adapt_kinds(),
-                fused::EXT_ADAPT_OVERHEAD,
-            )
-        })
+        self.fill(&self.fused.adapters_ext, fused::adapt_job)
     }
 
     /// The `ext-sweep` threshold-sweep rows.
     pub fn sweep_ext(&self) -> &[(f64, Option<f64>)] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.sweep_ext;
-        }
-        self.sweep_ext.get_or_init(|| {
-            threshold_sweep_from(
-                &self.probe_source(),
-                Phy::Bg,
-                fused::one_mbps(),
-                &fused::EXT_SWEEP_THRESHOLDS,
-                HearRule::Mean,
-            )
-        })
+        self.fill(&self.fused.sweep_ext, fused::sweep_job)
     }
 
     /// The `ext-stability` churn/drift report (b/g).
     pub fn stability_bg(&self) -> &LinkStability {
-        if let Some(f) = self.fused_outputs() {
-            return &f.stability_bg;
-        }
-        self.stability_bg
-            .get_or_init(|| link_stability_from(&self.probe_source(), Phy::Bg))
+        self.fill(&self.fused.stability_bg, fused::stability_job)
     }
 
     /// The `ext-diversity` rows.
     pub fn diversity_ext(&self) -> &[(usize, f64, f64, usize)] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.diversity_ext;
-        }
-        self.diversity_ext.get_or_init(|| {
-            analyze_diversity_from(
-                &self.probe_source(),
-                Phy::Bg,
-                fused::one_mbps(),
-                fused::ROUTING_MIN_APS,
-                EtxVariant::Etx1,
-            )
-        })
+        self.fill(&self.fused.diversity_ext, fused::diversity_job)
     }
 
     /// The `ext-ett` analyses (b/g, ≥5 APs).
     pub fn ett_bg(&self) -> &[EttAnalysis] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.ett_bg;
-        }
-        self.ett_bg
-            .get_or_init(|| analyze_ett_from(&self.probe_source(), Phy::Bg, fused::ROUTING_MIN_APS))
+        self.fill(&self.fused.ett_bg, fused::ett_job)
     }
 
     /// The `ext-cap` delivery matrix: the largest ≥5-AP b/g network at
     /// 1 Mbit/s. `None` when no network qualifies.
     pub fn cap_ext(&self) -> Option<&CapMatrix> {
-        if let Some(f) = self.fused_outputs() {
-            return f.cap_ext.as_ref();
-        }
-        self.cap_ext
-            .get_or_init(|| {
-                let meta = self
-                    .meta_dataset()
-                    .networks_with_at_least(fused::ROUTING_MIN_APS)
-                    .filter(|m| m.radios.contains(&Phy::Bg))
-                    .max_by_key(|m| m.n_aps)?;
-                Some(CapMatrix {
-                    network: meta.id,
-                    n_aps: meta.n_aps,
-                    matrix: self.probe_source().delivery_matrix(
-                        Phy::Bg,
-                        meta.id,
-                        fused::one_mbps(),
-                        meta.n_aps,
-                    ),
-                })
-            })
-            .as_ref()
+        self.fill(&self.fused.cap_ext, fused::cap_job).as_ref()
     }
 
     /// The §7 client mobility report — shared by Figs 7.1–7.5. Client
@@ -1008,6 +844,36 @@ mod tests {
             chk.triples_bg().per_network.len(),
             mem.triples_bg().per_network.len()
         );
+    }
+
+    /// The streaming build's overlap pass fills every analysis slot: its
+    /// figures match the two-phase chunked build's byte for byte without
+    /// a single window build.
+    #[test]
+    fn streaming_build_fills_every_slot() {
+        use crate::figures::{build, ALL_IDS};
+        let cfg = ChunkConfig::tiny();
+        let none = mesh11_sim::FaultPlan::none;
+        let (two, _) = ReproContext::build_timed_with_mode(
+            Scale::Quick,
+            9,
+            none(),
+            DataMode::Chunked(cfg.clone()),
+        );
+        let (st, t) = ReproContext::build_timed_streaming(Scale::Quick, 9, none(), cfg);
+        assert!(t.stream_fold_s > 0.0, "no part folds timed");
+        assert!(t.stream_overlap_s <= t.stream_fold_s);
+        for id in ALL_IDS {
+            let json = |ctx: &ReproContext| {
+                build(ctx, id)
+                    .expect("known id")
+                    .iter()
+                    .map(|f| f.to_json())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(json(&st), json(&two), "{id}");
+        }
+        assert_eq!(st.chunk_stats().window_builds, 0);
     }
 
     #[test]

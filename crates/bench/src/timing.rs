@@ -65,18 +65,29 @@ pub struct PhaseTimings {
     /// Clients the client-probe pass simulated — the work-item count of
     /// its per-client scheduler, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
-    /// All figure building, wall-clock. Figures run concurrently, so this
-    /// is smaller than the sum of the per-figure entries. For streaming
-    /// runs this also carries the overlap consumer's analysis seconds
-    /// (`stream_analyze_s`), so `total_s < simulate_s + analyze_s` is the
-    /// machine-checkable signature of phase overlap.
+    /// All analysis, wall-clock: the fused pass (`fused_s`) plus the
+    /// figure builders, which run concurrently, so this is smaller than
+    /// `fused_s` plus the sum of the per-figure entries. For streaming runs
+    /// this also carries the overlap consumer's analysis seconds
+    /// (`stream_analyze_s`).
     pub analyze_s: f64,
+    /// Wall-clock of the fused pass run ahead of the figure builders
+    /// (`ReproContext::prepare`), summed over seeds: one walk folding every
+    /// analysis the requested figures read.
+    pub fused_s: f64,
     /// Analysis throughput: `n_probes / analyze_s` — the analyze-phase
     /// counterpart of `reports_per_sec`.
     pub analyze_probes_per_sec: f64,
     /// Analysis seconds the streaming build spent folding parts inside the
     /// simulate wall (plus the fused finish). `None` for two-phase runs.
     pub stream_analyze_s: Option<f64>,
+    /// The overlap consumer's part-fold seconds (the first term of
+    /// `stream_analyze_s`). `None` for two-phase runs.
+    pub stream_fold_s: Option<f64>,
+    /// Of `stream_fold_s`, the seconds spent inside the simulate wall
+    /// (before the producer finished) — the overlap itself. `None` for
+    /// two-phase runs.
+    pub stream_overlap_s: Option<f64>,
     /// Chunk fetches served from a resident chunk. The chunk-store
     /// counters are `None` (JSON `null`) for in-memory runs, where a zero
     /// would be misleading rather than measured.
@@ -90,7 +101,7 @@ pub struct PhaseTimings {
     /// Window requests served from the materialized-window memo.
     pub window_hits: Option<u64>,
     /// Windows materialized (chunk-span decode + index build). Equals
-    /// `n_windows` for a window-major chunked run — the fused pass's
+    /// `n_windows` for a two-phase chunked run — the fused pass's
     /// headline invariant.
     pub window_builds: Option<u64>,
     /// Materialized windows dropped from the memo.
@@ -150,7 +161,7 @@ impl PhaseTimings {
     /// The human-readable breakdown `repro` prints on stderr.
     pub fn render(&self) -> String {
         let mut s = format!(
-            "# timings ({} threads): generate {:.2}s, simulate {:.2}s ({} pairs, {:.0} reports/s), client probes {:.2}s ({} clients), analyze {:.2}s (wall), total {:.2}s",
+            "# timings ({} threads): generate {:.2}s, simulate {:.2}s ({} pairs, {:.0} reports/s), client probes {:.2}s ({} clients), analyze {:.2}s (wall; fused pass {:.2}s), total {:.2}s",
             self.effective_threads,
             self.generate_s,
             self.simulate_s,
@@ -159,6 +170,7 @@ impl PhaseTimings {
             self.client_probe_s,
             self.clients_simulated,
             self.analyze_s,
+            self.fused_s,
             self.total_s
         );
         if self.seeds > 1 {
@@ -172,9 +184,11 @@ impl PhaseTimings {
                     .unwrap_or_default()
             ));
         }
-        if let Some(overlap) = self.stream_analyze_s {
+        if let Some(analyze) = self.stream_analyze_s {
             s.push_str(&format!(
-                "\n# streaming: {overlap:.2}s of analysis overlapped with simulation"
+                "\n# streaming: {analyze:.2}s of analysis in the build, {:.2}s of {:.2}s part folds overlapped with simulation",
+                self.stream_overlap_s.unwrap_or(0.0),
+                self.stream_fold_s.unwrap_or(0.0)
             ));
         }
         if let Some(rss) = self.peak_rss_mb {
@@ -245,8 +259,11 @@ mod tests {
             client_probe_s: 0.4,
             clients_simulated: 321,
             analyze_s: 1.5,
+            fused_s: 0.6,
             analyze_probes_per_sec: 33_333.3,
             stream_analyze_s: Some(0.9),
+            stream_fold_s: Some(0.8),
+            stream_overlap_s: Some(0.7),
             chunk_hits: Some(120),
             chunk_decodes: Some(40),
             chunk_evictions: Some(30),
@@ -303,6 +320,9 @@ mod tests {
             "analyze_s_per_seed",
             "analyze_s_per_seed_ci95",
             "stream_analyze_s",
+            "stream_fold_s",
+            "stream_overlap_s",
+            "fused_s",
             "total_s",
             "figures",
             "fig4-1",
@@ -319,7 +339,9 @@ mod tests {
         assert!(t.render().contains("120 hits / 40 decodes / 30 evictions"));
         assert!(t.render().contains("5500 / 10000 bytes (0.55x)"));
         assert!(t.render().contains("prefetch 25 hits / 3 wasted"));
-        assert!(t.render().contains("0.90s of analysis overlapped"));
+        assert!(t.render().contains("0.90s of analysis in the build"));
+        assert!(t.render().contains("0.70s of 0.80s part folds overlapped"));
+        assert!(t.render().contains("fused pass 0.60s"));
     }
 
     #[test]
@@ -346,8 +368,11 @@ mod tests {
             client_probe_s: 0.0,
             clients_simulated: 0,
             analyze_s: 0.5,
+            fused_s: 0.2,
             analyze_probes_per_sec: 2.0,
             stream_analyze_s: None,
+            stream_fold_s: None,
+            stream_overlap_s: None,
             chunk_hits: None,
             chunk_decodes: None,
             chunk_evictions: None,

@@ -193,7 +193,11 @@ pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
 /// `mesh11 figures FILE <id>...` — runs the repro figure builders against a
 /// dataset file. Figures needing topology ground truth (`ext-client`)
 /// report themselves unavailable; everything else works on any dataset.
+///
+/// One fused pass first folds every analysis the ids read; the builders
+/// then run in parallel and their tables print in request order.
 pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
+    use rayon::prelude::*;
     let ds = load_dataset(path)?;
     let cfg = SimConfig {
         probe_horizon_s: ds.probe_horizon_s,
@@ -211,8 +215,13 @@ pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
     } else {
         ids.to_vec()
     };
-    for id in &ids {
-        let Some(figs) = mesh11_bench::figures::build(&ctx, id) else {
+    ctx.prepare(&mesh11_bench::figures::analyses_for(&ids));
+    let built: Vec<_> = ids
+        .par_iter()
+        .map(|id| mesh11_bench::figures::build(&ctx, id))
+        .collect();
+    for (id, figs) in ids.iter().zip(built) {
+        let Some(figs) = figs else {
             return Err(format!("unknown experiment id '{id}'"));
         };
         for fig in figs {

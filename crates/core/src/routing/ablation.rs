@@ -58,16 +58,85 @@ pub fn exor_capped(m: &DeliveryMatrix, ordering: &PathTable, cap: Option<usize>)
     cost
 }
 
+/// One destination's cap-independent ExOR inputs: the sources in ETX order
+/// and each source's ETX-sorted usable candidates, exactly as
+/// [`exor_capped`] sorts them.
+struct DestOrder {
+    order: Vec<usize>,
+    cands: Vec<Vec<(usize, f64)>>,
+}
+
+fn dest_orders(m: &DeliveryMatrix, ordering: &PathTable) -> Vec<DestOrder> {
+    let n = m.n_aps();
+    (0..n)
+        .map(|d| {
+            let dist = |s: usize| ordering.cost(ApId(s as u32), ApId(d as u32));
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| dist(a).partial_cmp(&dist(b)).expect("no NaN costs"));
+            let cands = (0..n)
+                .map(|s| {
+                    if s == d || !dist(s).is_finite() {
+                        return Vec::new();
+                    }
+                    let mut c: Vec<(usize, f64)> = (0..n)
+                        .filter(|&v| v != s)
+                        .filter_map(|v| {
+                            let p = m.get(ApId(s as u32), ApId(v as u32));
+                            (p >= MIN_DELIVERY && dist(v) < dist(s)).then_some((v, p))
+                        })
+                        .collect();
+                    c.sort_by(|a, b| dist(a.0).partial_cmp(&dist(b.0)).expect("no NaN costs"));
+                    c
+                })
+                .collect();
+            DestOrder { order, cands }
+        })
+        .collect()
+}
+
+/// [`exor_capped`] over pre-sorted destination orders: truncating each
+/// sorted candidate list to the cap gives the same candidates in the same
+/// order, so every float operation runs in the same sequence.
+fn exor_capped_sorted(orders: &[DestOrder], ordering: &PathTable, cap: Option<usize>) -> Vec<f64> {
+    let n = orders.len();
+    let mut cost = vec![f64::INFINITY; n * n];
+    for (d, dest) in orders.iter().enumerate() {
+        let dist = |s: usize| ordering.cost(ApId(s as u32), ApId(d as u32));
+        cost[d * n + d] = 0.0;
+        for &s in &dest.order {
+            if s == d || !dist(s).is_finite() {
+                continue;
+            }
+            let all = &dest.cands[s];
+            let cands = &all[..cap.map_or(all.len(), |c| c.min(all.len()))];
+            if cands.is_empty() {
+                cost[s * n + d] = dist(s);
+                continue;
+            }
+            let mut numer = 0.0;
+            let mut none_heard = 1.0;
+            for &(v, p) in cands {
+                numer += p * none_heard * cost[v * n + d];
+                none_heard *= 1.0 - p;
+            }
+            cost[s * n + d] = (1.0 + numer) / (1.0 - none_heard);
+        }
+    }
+    cost
+}
+
 /// Mean ETX1 improvement as a function of the candidate cap: the ablation's
 /// headline curve, `(cap, mean_improvement)` with `cap = usize::MAX` for
-/// uncapped.
+/// uncapped. The ETX orders and candidate lists are sorted once and
+/// truncated per cap.
 pub fn improvement_vs_cap(m: &DeliveryMatrix, caps: &[usize]) -> Vec<(usize, f64)> {
     let etx1 = PathTable::compute(m, EtxVariant::Etx1);
+    let orders = dest_orders(m, &etx1);
     let n = m.n_aps();
     caps.iter()
         .map(|&cap| {
             let cap_opt = (cap != usize::MAX).then_some(cap);
-            let exor = exor_capped(m, &etx1, cap_opt);
+            let exor = exor_capped_sorted(&orders, &etx1, cap_opt);
             let mut imps = Vec::new();
             for (s, d) in etx1.reachable_pairs() {
                 let e = etx1.cost(s, d);
@@ -127,6 +196,7 @@ mod tests {
     use crate::routing::exor::ExorTable;
     use mesh11_phy::BitRate;
     use mesh11_trace::NetworkId;
+    use proptest::prelude::*;
 
     /// Source with three parallel relays of decreasing quality.
     fn fan() -> DeliveryMatrix {
@@ -208,5 +278,30 @@ mod tests {
         let rows = delivery_floor_sweep(&m, &[0.05, 0.35]);
         assert_eq!(rows[0].2, 6, "{rows:?}");
         assert_eq!(rows[1].2, 2, "{rows:?}");
+    }
+
+    proptest! {
+        /// Random sparse matrices (some links below the delivery floor,
+        /// some absent): sorting once and truncating per cap reproduces
+        /// per-cap [`exor_capped`] bit for bit.
+        #[test]
+        fn sorted_once_matches_exor_capped_per_cap(
+            n in 2usize..9,
+            links in proptest::collection::vec((0usize..9, 0usize..9, 0.0f64..1.0), 0..60),
+        ) {
+            let mut m = DeliveryMatrix::new_zero(NetworkId(0), BitRate::bg_mbps(1.0).unwrap(), n);
+            for &(a, b, p) in &links {
+                if a % n != b % n {
+                    m.set(ApId((a % n) as u32), ApId((b % n) as u32), p);
+                }
+            }
+            let etx1 = PathTable::compute(&m, EtxVariant::Etx1);
+            let orders = dest_orders(&m, &etx1);
+            for cap in [Some(1), Some(2), Some(3), Some(4), Some(8), None] {
+                let want: Vec<u64> = exor_capped(&m, &etx1, cap).iter().map(|c| c.to_bits()).collect();
+                let got: Vec<u64> = exor_capped_sorted(&orders, &etx1, cap).iter().map(|c| c.to_bits()).collect();
+                prop_assert_eq!(got, want, "cap {:?}", cap);
+            }
+        }
     }
 }

@@ -46,30 +46,60 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
 }
 
 /// Mid-ranks of a sample (1-based; ties averaged).
+///
+/// Ranks come from the sorted *distinct* values rather than an index sort:
+/// the sample is sorted by value, each run of `==`-equal values becomes one
+/// (value, mid-rank) entry, and every element looks its rank up by binary
+/// search. Ties are `==` ties, so `-0.0` ties with `0.0`, and a tie group
+/// spanning sorted positions `i..=j` gets exactly the `(i + j) / 2 + 1` the
+/// index-sort formulation assigns.
 fn midranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
-    let mut ranks = vec![0.0; xs.len()];
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    let mut distinct: Vec<(f64, f64)> = Vec::new();
     let mut i = 0;
-    while i < idx.len() {
+    while i < sorted.len() {
         let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
+        while j + 1 < sorted.len() && sorted[j + 1] == sorted[i] {
             j += 1;
         }
-        // positions i..=j share the same value; assign the average rank
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
+        distinct.push((sorted[i], (i + j) as f64 / 2.0 + 1.0));
         i = j + 1;
     }
-    ranks
+    xs.iter()
+        .map(|&x| distinct[distinct.partition_point(|&(v, _)| v < x)].1)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The index-sort formulation `midranks` replaced: the oracle for the
+    /// distinct-value ranking.
+    fn midranks_index_sort(xs: &[f64]) -> Vec<f64> {
+        let mut idx: Vec<usize> = (0..xs.len()).collect();
+        idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
+        let mut ranks = vec![0.0; xs.len()];
+        let mut i = 0;
+        while i < idx.len() {
+            let mut j = i;
+            while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
+                j += 1;
+            }
+            let avg = (i + j) as f64 / 2.0 + 1.0;
+            for &k in &idx[i..=j] {
+                ranks[k] = avg;
+            }
+            i = j + 1;
+        }
+        ranks
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn pearson_perfect_linear() {
@@ -111,6 +141,12 @@ mod tests {
             vec![1.0, 2.5, 2.5, 4.0]
         );
         assert_eq!(midranks(&[5.0]), vec![1.0]);
+        assert!(midranks(&[]).is_empty());
+    }
+
+    #[test]
+    fn midranks_tie_signed_zeros() {
+        assert_eq!(midranks(&[0.0, -0.0, 1.0, -0.0]), vec![2.0, 2.0, 4.0, 2.0]);
     }
 
     proptest! {
@@ -131,6 +167,22 @@ mod tests {
                 (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9),
                 (a, b) => prop_assert_eq!(a.is_none(), b.is_none()),
             }
+        }
+
+        /// Heavily tied samples (a handful of quantized levels, signed
+        /// zeros among them): the distinct-value ranks and the resulting
+        /// coefficient are bit-for-bit the index-sort oracle's.
+        #[test]
+        fn midranks_match_index_sort_oracle(
+            pairs in proptest::collection::vec((0usize..6, 0usize..4), 1..400)
+        ) {
+            const LEVELS: [f64; 6] = [-0.0, 0.0, -3.5, 1.0, 2.25, 1e6];
+            let xs: Vec<f64> = pairs.iter().map(|p| LEVELS[p.0]).collect();
+            let ys: Vec<f64> = pairs.iter().map(|p| LEVELS[p.1 + 2] * p.0 as f64).collect();
+            prop_assert_eq!(bits(&midranks(&xs)), bits(&midranks_index_sort(&xs)));
+            prop_assert_eq!(bits(&midranks(&ys)), bits(&midranks_index_sort(&ys)));
+            let oracle = pearson(&midranks_index_sort(&xs), &midranks_index_sort(&ys));
+            prop_assert_eq!(spearman(&xs, &ys).map(f64::to_bits), oracle.map(f64::to_bits));
         }
 
         #[test]

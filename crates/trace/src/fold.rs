@@ -55,8 +55,8 @@ pub trait FoldKernel {
     fn finish(&self, partial: Self::Partial) -> Self::Output;
 }
 
-/// Runs one kernel to completion over a probe source — the kernel-major
-/// oracle path every legacy `*_from` entry point delegates to.
+/// Runs one kernel to completion over a probe source — the one-walk-per-
+/// kernel path every `*_from` entry point delegates to.
 pub fn run_fold<K: FoldKernel>(src: &ProbeSource<'_>, kernel: &K) -> K::Output {
     let mut partial = kernel.init();
     src.for_each_view(|view| kernel.fold(view, &mut partial));

@@ -1,14 +1,16 @@
-//! The window-major scheduling contract: folding every kernel over each
-//! resident window exactly once must produce figure JSON byte-identical to
-//! the kernel-major schedule (one probe-source walk per kernel) — wherever
-//! the window boundaries fall, at any thread count, clean or faulted.
+//! The fused-pass contract: folding every analysis a figure set reads over
+//! each resident window exactly once (`ReproContext::prepare`) must produce
+//! figure JSON byte-identical to an unprepared context, where every
+//! accessor walks the probe source for its own kernels on first touch —
+//! wherever the window boundaries fall, at any thread count, clean or
+//! faulted.
 
 use std::collections::BTreeMap;
 
 use mesh11::prelude::*;
 use mesh11::trace::ChunkConfig;
-use mesh11_bench::figures::{build, ALL_IDS};
-use mesh11_bench::{AnalysisMode, DataMode, ReproContext, Scale};
+use mesh11_bench::figures::{analyses_for, build, ALL_IDS};
+use mesh11_bench::{DataMode, ReproContext, Scale};
 use proptest::prelude::*;
 
 const SEED: u64 = 13;
@@ -26,11 +28,12 @@ fn all_figure_json(ctx: &ReproContext) -> BTreeMap<String, String> {
     out
 }
 
-/// Builds a quick-scale chunked context under `schedule` and renders all
-/// figures, on a dedicated pool of `threads` workers.
+/// Builds a quick-scale chunked context, fuses every figure's analyses
+/// up front when `prepared`, and renders all figures, on a dedicated pool
+/// of `threads` workers.
 fn figures_under(
     cfg: ChunkConfig,
-    schedule: AnalysisMode,
+    prepared: bool,
     threads: usize,
     faults: FaultPlan,
 ) -> BTreeMap<String, String> {
@@ -39,13 +42,15 @@ fn figures_under(
         .build()
         .expect("build pool")
         .install(|| {
-            let (mut ctx, _) = ReproContext::build_timed_with_mode(
+            let (ctx, _) = ReproContext::build_timed_with_mode(
                 Scale::Quick,
                 SEED,
                 faults,
                 DataMode::Chunked(cfg),
             );
-            ctx.set_analysis_mode(schedule);
+            if prepared {
+                ctx.prepare(&analyses_for(ALL_IDS));
+            }
             all_figure_json(&ctx)
         })
 }
@@ -55,11 +60,11 @@ proptest! {
 
     /// Adversarial window placement: for window sizes from one probe set
     /// per window up to thousands (crossing network and chunk boundaries
-    /// at arbitrary offsets), the window-major schedule's figures are
-    /// byte-for-byte the kernel-major schedule's — single-threaded and
-    /// fanned out, with and without an active fault plan.
+    /// at arbitrary offsets), the prepared context's figures are
+    /// byte-for-byte the unprepared context's — single-threaded and fanned
+    /// out, with and without an active fault plan.
     #[test]
-    fn window_major_matches_kernel_major(
+    fn prepared_matches_per_analysis_walks(
         window in 1usize..4_000,
         capacity in 64usize..1_024,
         four_threads in proptest::bool::ANY,
@@ -80,11 +85,12 @@ proptest! {
                 FaultPlan::none()
             }
         };
-        // Kernel-major on one thread is the oracle: the pre-window-major
-        // schedule, pinned by the goldens.
-        let reference = figures_under(cfg.clone(), AnalysisMode::KernelMajor, 1, faults());
+        // An unprepared context on one thread is the oracle: every
+        // accessor runs its own kernels' walk, the schedule the goldens
+        // pin.
+        let reference = figures_under(cfg.clone(), false, 1, faults());
         prop_assert!(reference.len() >= 39, "expected the full figure set");
-        let got = figures_under(cfg, AnalysisMode::WindowMajor, threads, faults());
+        let got = figures_under(cfg, true, threads, faults());
         prop_assert_eq!(got.len(), reference.len(), "figure set differs");
         for (id, json) in &reference {
             let g = got.get(id).map(String::as_str);
