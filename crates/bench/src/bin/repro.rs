@@ -3,8 +3,7 @@
 //! ```text
 //! repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N]
 //!       [--faults] [--metro-factor N] [--chunked] [--chunk-capacity N]
-//!       [--chunk-budget N] [--spill-codec v1|v2] [--prefetch-depth N]
-//!       [--spill-dir DIR] [--streaming] [--out DIR] [--bench-json FILE]
+//!       [--chunk-budget N] [--spill-dir DIR] [--out DIR] [--bench-json FILE]
 //!       [--rows N] [--plot] <id>... | --all
 //! ```
 //!
@@ -16,16 +15,18 @@
 //! JSONs. In-memory scales only.
 //!
 //! Analysis runs in two steps per seed. First one fused pass folds every
-//! shared analysis the requested figures read (`figures::analyses`) in a
-//! single walk of the probe source, on the driving thread with the whole
-//! thread budget; its wall-clock is `fused_s`. Then the figure builders
-//! fan out and read the finished outputs, so each per-figure time is that
-//! builder's own cost.
+//! shared analysis the requested figures read (`figures::analyses`); then
+//! the figure builders fan out and read the finished outputs, so each
+//! per-figure time is that builder's own cost.
 //!
-//! `--streaming` (implies `--chunked`) overlaps analysis with simulation:
-//! sealed dataset parts feed a bounded channel whose consumer folds every
-//! analysis kernel over each part while later networks still simulate.
-//! Figures are byte-identical either way.
+//! Chunked runs (`--scale metro`, or any chunk flag) fold that pass while
+//! simulating: sealed dataset parts feed a bounded channel whose consumer
+//! seals them into the chunk store and folds the requested analyses over
+//! each part while later networks still simulate. Its seconds are the
+//! `stream_*` keys of the timing JSON, and `fused_s` is ~0. The consumer
+//! folds on its own pool, so `--threads N` runs two pools of N.
+//! In-memory runs fold the pass on the driving thread after simulating,
+//! with the whole thread budget; its wall-clock is `fused_s`.
 //!
 //! Prints each figure as an aligned text table (with the paper-expected
 //! values as `#` notes; add `--plot` for ASCII curve renderings) and writes
@@ -45,7 +46,7 @@ use mesh11_bench::{
     ReproContext, Scale,
 };
 use mesh11_core::report::FigureData;
-use mesh11_trace::{ChunkConfig, SpillCodec};
+use mesh11_trace::ChunkConfig;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -60,10 +61,7 @@ struct Args {
     chunked: bool,
     chunk_capacity: Option<usize>,
     chunk_budget: Option<usize>,
-    spill_codec: Option<SpillCodec>,
-    prefetch_depth: Option<usize>,
     spill_dir: Option<PathBuf>,
-    streaming: bool,
     out: PathBuf,
     bench_json: PathBuf,
     rows: usize,
@@ -76,11 +74,8 @@ impl Args {
     /// overridden to chunked when any chunk flag is given.
     fn data_mode(&self) -> DataMode {
         let chunk_flags = self.chunked
-            || self.streaming
             || self.chunk_capacity.is_some()
             || self.chunk_budget.is_some()
-            || self.spill_codec.is_some()
-            || self.prefetch_depth.is_some()
             || self.spill_dir.is_some();
         match (self.scale.data_mode(), chunk_flags) {
             (DataMode::InMemory, false) => DataMode::InMemory,
@@ -94,12 +89,6 @@ impl Args {
                 }
                 if let Some(budget) = self.chunk_budget {
                     cfg.resident_chunks = budget;
-                }
-                if let Some(codec) = self.spill_codec {
-                    cfg.spill_codec = codec;
-                }
-                if let Some(depth) = self.prefetch_depth {
-                    cfg.prefetch_depth = depth;
                 }
                 cfg.spill_dir.clone_from(&self.spill_dir);
                 DataMode::Chunked(cfg)
@@ -118,10 +107,7 @@ fn parse_args() -> Result<Args, String> {
         chunked: false,
         chunk_capacity: None,
         chunk_budget: None,
-        spill_codec: None,
-        prefetch_depth: None,
         spill_dir: None,
-        streaming: false,
         out: PathBuf::from("out"),
         bench_json: PathBuf::from("BENCH_repro.json"),
         rows: 16,
@@ -157,7 +143,6 @@ fn parse_args() -> Result<Args, String> {
                 metro_factor = Some(n);
             }
             "--chunked" => args.chunked = true,
-            "--streaming" => args.streaming = true,
             "--chunk-capacity" => {
                 let v = it.next().ok_or("--chunk-capacity needs a value")?;
                 args.chunk_capacity =
@@ -166,16 +151,6 @@ fn parse_args() -> Result<Args, String> {
             "--chunk-budget" => {
                 let v = it.next().ok_or("--chunk-budget needs a value")?;
                 args.chunk_budget = Some(v.parse().map_err(|e| format!("bad chunk budget: {e}"))?);
-            }
-            "--spill-codec" => {
-                let v = it.next().ok_or("--spill-codec needs a value")?;
-                args.spill_codec =
-                    Some(SpillCodec::parse(&v).ok_or(format!("bad spill codec '{v}' (v1|v2)"))?);
-            }
-            "--prefetch-depth" => {
-                let v = it.next().ok_or("--prefetch-depth needs a value")?;
-                args.prefetch_depth =
-                    Some(v.parse().map_err(|e| format!("bad prefetch depth: {e}"))?);
             }
             "--spill-dir" => {
                 args.spill_dir = Some(PathBuf::from(it.next().ok_or("--spill-dir needs a value")?));
@@ -205,8 +180,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N] [--faults]\n\
                      \x20            [--metro-factor N] [--chunked] [--chunk-capacity N] [--chunk-budget N]\n\
-                     \x20            [--spill-codec v1|v2] [--prefetch-depth N]\n\
-                     \x20            [--spill-dir DIR] [--streaming]\n\
+                     \x20            [--spill-dir DIR]\n\
                      \x20            [--out DIR] [--bench-json FILE] [--rows N] [--plot] <id>... | --all\n\
                      --threads N  cap the worker pool (default: all cores); results are\n\
                      identical at any value, only wall-clock changes\n\
@@ -216,25 +190,21 @@ fn parse_args() -> Result<Args, String> {
                      --faults     simulate under the built-in demo fault plan (overlapping\n\
                      AP outages + stacked interference bursts), still thread-invariant\n\
                      --metro-factor N  ensemble multiplier for --scale metro (default {})\n\
-                     --chunked    stream probes through the spill-able chunk store at any scale\n\
-                     --streaming  overlap analysis with simulation: fold kernels over sealed\n\
-                     parts while later networks still simulate (implies --chunked)\n\
+                     --chunked    stream probes through the spill-able chunk store at any scale,\n\
+                     folding the requested analyses over sealed parts while later networks\n\
+                     still simulate (a second pool of --threads N folds beside the simulator)\n\
                      --chunk-capacity N  probe sets per chunk (default {})\n\
                      --chunk-budget N    resident chunks before spilling (default {})\n\
-                     --spill-codec v1|v2  spill frame encoding: raw columns (v1) or\n\
-                     per-column compression + checksum (v2, default)\n\
-                     --prefetch-depth N  windows of read-ahead by the background\n\
-                     prefetch thread (default {}; 0 disables it)\n\
                      --spill-dir DIR     where cold chunks spill (default: system temp dir)\n\
                      --bench-json FILE  where to write the per-phase timing JSON\n\
                      (default: BENCH_repro.json in the working directory)\n\
                      analysis: one fused pass folds every shared analysis the requested ids\n\
-                     read in a single walk of the probes (fused_s), then the figure builders\n\
-                     fan out over its outputs\nids: {}",
+                     read (in-memory: one walk of the probes, fused_s; chunked: while\n\
+                     simulating, stream_*), then the figure builders fan out over its outputs\n\
+                     ids: {}",
                     mesh11_bench::DEFAULT_METRO_FACTOR,
                     ChunkConfig::default().chunk_capacity,
                     ChunkConfig::default().resident_chunks,
-                    ChunkConfig::default().prefetch_depth,
                     ALL_IDS.join(" ")
                 );
                 std::process::exit(0);
@@ -286,10 +256,11 @@ fn analyze_and_emit(
     print_tables: bool,
 ) -> SeedAnalysis {
     // One fused walk fills every shared analysis the requested figures
-    // read, on this thread so its kernels fan out over the whole budget.
-    // The builders then run in parallel over finished outputs (the
-    // mobility report and anything unprepared still fill once, in
-    // OnceLocks, whoever touches them first).
+    // read, on this thread so its kernels fan out over the whole budget
+    // (a chunked build already folded them while simulating, so nothing
+    // is left to fill). The builders then run in parallel over finished
+    // outputs (the mobility report and anything unprepared still fill
+    // once, in OnceLocks, whoever touches them first).
     let t_analyze = Instant::now();
     ctx.prepare(&analyses_for(&args.ids));
     let fused_s = t_analyze.elapsed().as_secs_f64();
@@ -355,21 +326,16 @@ fn run(args: &Args) -> i32 {
     if args.seeds > 1 {
         return run_multi(args, faults, t_total);
     }
-    let mode = args.data_mode();
-    if let DataMode::Chunked(cfg) = &mode {
-        eprintln!(
-            "# chunked store: {} probe sets/chunk, {} resident chunks",
-            cfg.chunk_capacity, cfg.resident_chunks
-        );
-    }
-    let (ctx, build_t) = if args.streaming {
-        let DataMode::Chunked(cfg) = mode else {
-            unreachable!("--streaming implies a chunked data mode")
-        };
-        eprintln!("# streaming: analysis consumer folds sealed parts while simulation continues");
-        ReproContext::build_timed_streaming(args.scale, args.seed, faults, cfg)
-    } else {
-        ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode)
+    let (ctx, build_t) = match args.data_mode() {
+        DataMode::Chunked(cfg) => {
+            eprintln!(
+                "# chunked store: {} probe sets/chunk, {} resident chunks; analyses fold while simulating",
+                cfg.chunk_capacity, cfg.resident_chunks
+            );
+            let which = analyses_for(&args.ids);
+            ReproContext::build_timed_streaming(args.scale, args.seed, faults, cfg, &which)
+        }
+        mode => ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode),
     };
     eprintln!(
         "# simulated {} networks / {} APs ({} pairs): {} probe sets, {} client samples in {:.1}s",
@@ -397,8 +363,8 @@ fn run(args: &Args) -> i32 {
         analyze_s: figure_s,
         ..
     } = analysis;
-    // For streaming runs the figure pass is only the tail of analysis: the
-    // fold work already ran inside the simulate wall.
+    // For chunked runs the figure pass is only the tail of analysis: the
+    // fold work already ran inside the build.
     let analyze_s = figure_s + build_t.stream_analyze_s;
 
     let n_probes = ctx.n_probes();
@@ -440,9 +406,9 @@ fn run(args: &Args) -> i32 {
         } else {
             0.0
         },
-        stream_analyze_s: args.streaming.then_some(build_t.stream_analyze_s),
-        stream_fold_s: args.streaming.then_some(build_t.stream_fold_s),
-        stream_overlap_s: args.streaming.then_some(build_t.stream_overlap_s),
+        stream_analyze_s: chunk.map(|_| build_t.stream_analyze_s),
+        stream_fold_s: chunk.map(|_| build_t.stream_fold_s),
+        stream_overlap_s: chunk.map(|_| build_t.stream_overlap_s),
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
         chunk_decodes: chunk.as_ref().map(|c| c.chunk_decodes),
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),

@@ -20,8 +20,8 @@
 //! partial is threaded sequentially through the windows in network order,
 //! whichever other kernels share the walk.
 //!
-//! `FusedPass` is the in-flight form of the same pass: the streaming
-//! build folds each sealed part as it arrives, then finishes against the
+//! `FusedPass` is the in-flight form of the same pass: the chunked build
+//! folds each sealed part as it arrives, then finishes against the
 //! completed chunk store.
 
 use std::collections::BTreeMap;
@@ -48,8 +48,8 @@ use mesh11_core::triples::{HearRule, TripleAnalysis};
 use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
-    fold_windows, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running,
-    WindowFold,
+    fold_windows, Dataset, DatasetIndex, DatasetView, DeliveryMatrix, FoldKernel, NetworkId,
+    ProbeSource, Running, WindowFold,
 };
 
 use crate::setup::{lookup_slot, TRIPLE_THRESHOLD};
@@ -551,6 +551,17 @@ impl<'a> FusedPass<'a> {
         let mut folds: Vec<&mut dyn WindowFold> =
             self.pending.iter_mut().flat_map(|p| p.folds()).collect();
         fold_windows(src, &mut folds);
+    }
+
+    /// Folds one sealed dataset part, indexing it only when some pass-A
+    /// kernel is pending. Parts must arrive as consecutive network runs in
+    /// id order, as for [`FusedPass::fold`].
+    pub(crate) fn fold_part(&mut self, part: &Dataset) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let ix = DatasetIndex::build(part);
+        self.fold(&ProbeSource::Whole(DatasetView::new(part, &ix)));
     }
 
     /// Stores pass A's outputs, then runs pass B (penalties) against `src`,

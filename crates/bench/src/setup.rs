@@ -49,15 +49,15 @@ pub struct BuildTimings {
     /// Clients the client-probe pass simulated — the unit of its work
     /// list, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
-    /// Analysis seconds already spent *inside* the simulate wall by the
-    /// streaming build's overlap consumer (part folds + pass finish).
-    /// Zero for the two-phase builds.
+    /// Analysis seconds the chunked build's stream consumer spent in the
+    /// build (part folds and seals, plus the pass finish). Zero for
+    /// in-memory builds.
     pub stream_analyze_s: f64,
-    /// The overlap consumer's part-fold seconds (the first term of
-    /// `stream_analyze_s`). Zero for the two-phase builds.
+    /// The stream consumer's per-part seconds (the first term of
+    /// `stream_analyze_s`). Zero for in-memory builds.
     pub stream_fold_s: f64,
     /// Of `stream_fold_s`, the seconds spent inside the simulate wall
-    /// (before the producer finished). Zero for the two-phase builds.
+    /// (before the producer finished). Zero for in-memory builds.
     pub stream_overlap_s: f64,
 }
 
@@ -117,7 +117,7 @@ fn build_client_probe_pass(
 /// scales it up to the 10⁵-AP tier (factor 71) when wall clock allows.
 pub const DEFAULT_METRO_FACTOR: usize = 10;
 
-/// Networks simulated per streaming batch in chunked builds: large enough
+/// Networks simulated per streamed part in chunked builds: large enough
 /// to keep the pair scheduler busy, small enough that at most a handful of
 /// network datasets are resident before they drain into the chunk store.
 const METRO_BATCH_NETWORKS: usize = 8;
@@ -236,6 +236,16 @@ pub struct ReproContext {
     mobility: OnceLock<MobilityReport>,
 }
 
+/// Generates `scale`'s campaign at `seed` and its simulation config under
+/// `faults`, with the generation wall-clock.
+fn generate(scale: Scale, seed: u64, faults: mesh11_sim::FaultPlan) -> (Campaign, SimConfig, f64) {
+    let mut config = scale.config();
+    config.faults = faults;
+    let t0 = std::time::Instant::now();
+    let campaign = scale.campaign_spec(seed).generate();
+    (campaign, config, t0.elapsed().as_secs_f64())
+}
+
 pub(crate) fn lookup_slot(scope: Scope, phy: Phy) -> usize {
     let s = match scope {
         Scope::Global => 0,
@@ -274,102 +284,66 @@ impl ReproContext {
     }
 
     /// The fully-general build: scale, faults, and an explicit data mode.
-    /// `DataMode::Chunked` streams the simulation network-by-network into
-    /// the chunk store, so at no point is the whole probe table resident.
+    /// `DataMode::Chunked` is [`ReproContext::build_timed_streaming`] with
+    /// no analysis requested: the simulation streams network-by-network
+    /// into the chunk store, so at no point is the whole probe table
+    /// resident, and every analysis walks the store's windows on first
+    /// touch.
     pub fn build_timed_with_mode(
         scale: Scale,
         seed: u64,
         faults: mesh11_sim::FaultPlan,
         mode: DataMode,
     ) -> (Self, BuildTimings) {
-        let spec = scale.campaign_spec(seed);
-        let mut config = scale.config();
-        config.faults = faults;
-        let t0 = std::time::Instant::now();
-        let campaign = spec.generate();
-        let generate_s = t0.elapsed().as_secs_f64();
+        if let DataMode::Chunked(cfg) = mode {
+            return Self::build_timed_streaming(scale, seed, faults, cfg, &[]);
+        }
+        let (campaign, config, generate_s) = generate(scale, seed, faults);
         let t1 = std::time::Instant::now();
         // One success table serves the whole process: the shared registry
         // builds it on first use (that first build lands in simulate-phase
         // cost, exactly as the per-run build used to) and every later run —
         // and every other seed of a multi-seed campaign — reuses it.
         let table = shared_success_table(PerModel::default());
-        let (store, stats) = match mode {
-            DataMode::InMemory => {
-                let (dataset, stats) = config.run_campaign_counted_with_table(&campaign, table);
-                (DataStore::InMemory(dataset), stats)
-            }
-            DataMode::Chunked(cfg) => {
-                let mut builder = ChunkedDatasetBuilder::new(cfg);
-                let mut io_err: Option<std::io::Error> = None;
-                let stats = config.stream_campaign_with_table(
-                    &campaign,
-                    table,
-                    METRO_BATCH_NETWORKS,
-                    |part| {
-                        if io_err.is_none() {
-                            if let Err(e) = builder.add(part) {
-                                io_err = Some(e);
-                            }
-                        }
-                    },
-                );
-                if let Some(e) = io_err {
-                    panic!("chunk store spill failed during simulation: {e}");
-                }
-                let chunked = builder
-                    .finish()
-                    .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
-                (DataStore::Chunked(Box::new(chunked)), stats)
-            }
-        };
+        let (dataset, stats) = config.run_campaign_counted_with_table(&campaign, table);
         let simulate_s = t1.elapsed().as_secs_f64();
-        let this = Self::assemble(store, config, seed, Some(campaign));
-        // Run the client-probe pass eagerly so its cost lands in the
-        // simulate phase (it is simulation), not in whichever figure
-        // happens to touch the cache first.
-        let t2 = std::time::Instant::now();
-        let clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
-        let client_probe_s = t2.elapsed().as_secs_f64();
-        (
-            this,
-            BuildTimings {
-                generate_s,
-                simulate_s,
-                pairs_simulated: stats.pairs_simulated,
-                client_probe_s,
-                clients_simulated,
-                stream_analyze_s: 0.0,
-                stream_fold_s: 0.0,
-                stream_overlap_s: 0.0,
-            },
-        )
+        let this = Self::assemble(DataStore::InMemory(dataset), config, seed, Some(campaign));
+        this.with_client_pass(BuildTimings {
+            generate_s,
+            simulate_s,
+            pairs_simulated: stats.pairs_simulated,
+            client_probe_s: 0.0,
+            clients_simulated: 0,
+            stream_analyze_s: 0.0,
+            stream_fold_s: 0.0,
+            stream_overlap_s: 0.0,
+        })
     }
 
-    /// The overlapped build (`repro --streaming`): the simulator streams
-    /// sealed parts through a bounded channel into a consumer thread that
-    /// folds every pass-A kernel over each part *while later networks are
-    /// still simulating*, then seals the chunk store. After the channel
-    /// drains, the main thread finishes the fused pass (pass B scores the
-    /// completed tables against the raw chunks).
+    /// The chunked build. The simulator streams sealed parts through a
+    /// bounded channel into a consumer thread that seals each part into
+    /// the chunk store and folds the kernels of every analysis in `which`
+    /// over it *while later networks are still simulating*. After the
+    /// channel drains, the calling thread finishes the fused pass (pass B
+    /// scores the completed tables against the raw chunks).
     ///
     /// Parts arrive as consecutive network runs in id order — exactly the
     /// network-aligned partition the fold contract requires — so the
-    /// resulting figures are byte-identical to the two-phase build. The
-    /// pass fills every analysis slot, so nothing re-walks the store
-    /// (beyond pass B's raw-chunk walk, zero window builds happen at all).
+    /// figures are byte-identical to any other schedule. Every slot in
+    /// `which` is filled without a single window build; any other
+    /// analysis walks the store's windows on first touch. With `which`
+    /// empty the consumer only seals parts and indexes none of them.
+    ///
+    /// The consumer folds on its own pool of the caller's thread count,
+    /// beside the simulator's: a run at N threads uses two pools of N.
     pub fn build_timed_streaming(
         scale: Scale,
         seed: u64,
         faults: mesh11_sim::FaultPlan,
         cfg: ChunkConfig,
+        which: &[Analysis],
     ) -> (Self, BuildTimings) {
-        let spec = scale.campaign_spec(seed);
-        let mut config = scale.config();
-        config.faults = faults;
-        let t0 = std::time::Instant::now();
-        let campaign = spec.generate();
-        let generate_s = t0.elapsed().as_secs_f64();
+        let (campaign, config, generate_s) = generate(scale, seed, faults);
         let table = shared_success_table(PerModel::default());
         // The consumer runs on a plain thread: it must make progress while
         // the producer occupies this one (a shared work-stealing scope
@@ -380,7 +354,7 @@ impl ReproContext {
         let t1 = std::time::Instant::now();
         let (tx, rx) = std::sync::mpsc::sync_channel::<Dataset>(2);
         let ((chunked, pass, fold_s, drained), stats, sim_end) = std::thread::scope(|s| {
-            let mut pass = FusedPass::new(&fused, &Analysis::ALL);
+            let mut pass = FusedPass::new(&fused, which);
             let consumer = s.spawn(move || {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -392,9 +366,7 @@ impl ReproContext {
                     let mut io_err: Option<std::io::Error> = None;
                     while let Ok(part) = rx.recv() {
                         let tb = std::time::Instant::now();
-                        let ix = DatasetIndex::build(&part);
-                        pass.fold(&ProbeSource::Whole(DatasetView::new(&part, &ix)));
-                        drop(ix);
+                        pass.fold_part(&part);
                         if io_err.is_none() {
                             if let Err(e) = builder.add(part) {
                                 io_err = Some(e);
@@ -404,7 +376,7 @@ impl ReproContext {
                     }
                     let drained = std::time::Instant::now();
                     if let Some(e) = io_err {
-                        panic!("chunk store spill failed during streaming: {e}");
+                        panic!("chunk store spill failed during simulation: {e}");
                     }
                     let chunked = builder
                         .finish()
@@ -444,22 +416,26 @@ impl ReproContext {
                 Some(campaign),
             )
         };
-        let t3 = std::time::Instant::now();
-        let clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
-        let client_probe_s = t3.elapsed().as_secs_f64();
-        (
-            this,
-            BuildTimings {
-                generate_s,
-                simulate_s,
-                pairs_simulated: stats.pairs_simulated,
-                client_probe_s,
-                clients_simulated,
-                stream_analyze_s: fold_s + finish_s,
-                stream_fold_s: fold_s,
-                stream_overlap_s,
-            },
-        )
+        this.with_client_pass(BuildTimings {
+            generate_s,
+            simulate_s,
+            pairs_simulated: stats.pairs_simulated,
+            client_probe_s: 0.0,
+            clients_simulated: 0,
+            stream_analyze_s: fold_s + finish_s,
+            stream_fold_s: fold_s,
+            stream_overlap_s,
+        })
+    }
+
+    /// Runs the client-probe pass eagerly and records it in `timings`, so
+    /// its cost lands in the simulate phase (it is simulation), not in
+    /// whichever figure happens to touch the cache first.
+    fn with_client_pass(self, mut timings: BuildTimings) -> (Self, BuildTimings) {
+        let t = std::time::Instant::now();
+        timings.clients_simulated = self.client_probes().map_or(0, |p| p.clients_simulated);
+        timings.client_probe_s = t.elapsed().as_secs_f64();
+        (self, timings)
     }
 
     /// Builds one context per seed `base_seed .. base_seed + n_seeds` by
@@ -846,9 +822,9 @@ mod tests {
         );
     }
 
-    /// The streaming build's overlap pass fills every analysis slot: its
-    /// figures match the two-phase chunked build's byte for byte without
-    /// a single window build.
+    /// A stream over every analysis fills every slot: its figures match
+    /// the unrequested chunked build's (every accessor walking windows)
+    /// byte for byte without a single window build.
     #[test]
     fn streaming_build_fills_every_slot() {
         use crate::figures::{build, ALL_IDS};
@@ -860,7 +836,8 @@ mod tests {
             none(),
             DataMode::Chunked(cfg.clone()),
         );
-        let (st, t) = ReproContext::build_timed_streaming(Scale::Quick, 9, none(), cfg);
+        let (st, t) =
+            ReproContext::build_timed_streaming(Scale::Quick, 9, none(), cfg, &Analysis::ALL);
         assert!(t.stream_fold_s > 0.0, "no part folds timed");
         assert!(t.stream_overlap_s <= t.stream_fold_s);
         for id in ALL_IDS {
@@ -874,6 +851,29 @@ mod tests {
             assert_eq!(json(&st), json(&two), "{id}");
         }
         assert_eq!(st.chunk_stats().window_builds, 0);
+    }
+
+    /// The stream folds only what was asked for: building fig4-1 after
+    /// streaming its analyses adds no window build, while an analysis
+    /// left out of the request walks the windows on first touch.
+    #[test]
+    fn streaming_build_folds_only_requested_analyses() {
+        use crate::figures::{analyses, build};
+        let (ctx, _) = ReproContext::build_timed_streaming(
+            Scale::Quick,
+            9,
+            mesh11_sim::FaultPlan::none(),
+            ChunkConfig::tiny(),
+            analyses("fig4-1"),
+        );
+        build(&ctx, "fig4-1").expect("known id");
+        assert_eq!(ctx.chunk_stats().window_builds, 0);
+        assert!(
+            ctx.fused.routing_bg.get().is_none(),
+            "routing not requested"
+        );
+        assert!(!ctx.routing_bg().is_empty());
+        assert!(ctx.chunk_stats().window_builds > 0);
     }
 
     #[test]

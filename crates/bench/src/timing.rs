@@ -67,8 +67,8 @@ pub struct PhaseTimings {
     pub clients_simulated: usize,
     /// All analysis, wall-clock: the fused pass (`fused_s`) plus the
     /// figure builders, which run concurrently, so this is smaller than
-    /// `fused_s` plus the sum of the per-figure entries. For streaming runs
-    /// this also carries the overlap consumer's analysis seconds
+    /// `fused_s` plus the sum of the per-figure entries. For chunked runs
+    /// this also carries the stream consumer's analysis seconds
     /// (`stream_analyze_s`).
     pub analyze_s: f64,
     /// Wall-clock of the fused pass run ahead of the figure builders
@@ -78,15 +78,16 @@ pub struct PhaseTimings {
     /// Analysis throughput: `n_probes / analyze_s` — the analyze-phase
     /// counterpart of `reports_per_sec`.
     pub analyze_probes_per_sec: f64,
-    /// Analysis seconds the streaming build spent folding parts inside the
-    /// simulate wall (plus the fused finish). `None` for two-phase runs.
+    /// Analysis seconds the chunked build's stream consumer spent folding
+    /// and sealing parts (plus the fused finish). Present on every chunked
+    /// run, `None` in memory, like the chunk counters.
     pub stream_analyze_s: Option<f64>,
-    /// The overlap consumer's part-fold seconds (the first term of
-    /// `stream_analyze_s`). `None` for two-phase runs.
+    /// The stream consumer's per-part seconds (the first term of
+    /// `stream_analyze_s`). `None` in memory.
     pub stream_fold_s: Option<f64>,
     /// Of `stream_fold_s`, the seconds spent inside the simulate wall
-    /// (before the producer finished) — the overlap itself. `None` for
-    /// two-phase runs.
+    /// (before the producer finished) — the overlap itself. `None` in
+    /// memory.
     pub stream_overlap_s: Option<f64>,
     /// Chunk fetches served from a resident chunk. The chunk-store
     /// counters are `None` (JSON `null`) for in-memory runs, where a zero
@@ -186,7 +187,7 @@ impl PhaseTimings {
         }
         if let Some(analyze) = self.stream_analyze_s {
             s.push_str(&format!(
-                "\n# streaming: {analyze:.2}s of analysis in the build, {:.2}s of {:.2}s part folds overlapped with simulation",
+                "\n# stream: {analyze:.2}s of analysis in the build, {:.2}s of {:.2}s part folds overlapped with simulation",
                 self.stream_overlap_s.unwrap_or(0.0),
                 self.stream_fold_s.unwrap_or(0.0)
             ));

@@ -138,10 +138,12 @@ pub fn inspect(path: &Path) -> Result<(), String> {
         println!("    {phy:16} {n}");
     }
     println!("  probe sets: {}", ds.probes.len());
-    let ix = DatasetIndex::build(&ds);
+    // Counted off the raw probes, not an index: indexing computes each
+    // set's optimal rate, which a corrupt loss would panic before the
+    // integrity report below could name it.
     println!(
         "  directed links with reports: {}",
-        ix.link_report_counts().len()
+        ds.link_report_counts().len()
     );
     println!("  client samples: {}", ds.clients.len());
     let clients: std::collections::BTreeSet<_> =
@@ -159,9 +161,30 @@ pub fn inspect(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// Violations named in a rejected dataset's error.
+const VIOLATIONS_SHOWN: usize = 5;
+
+/// Loads a dataset for analysis, rejecting it when [`Dataset::validate`]
+/// finds a violation: the kernels assume finite, probability-valued
+/// losses and non-empty probe sets, so corrupt input must stop here with
+/// an error naming the first violations instead of panicking mid-analysis.
+fn load_valid(path: &Path) -> Result<Dataset, String> {
+    let ds = load_dataset(path)?;
+    let violations = ds.validate(VIOLATIONS_SHOWN);
+    if violations.is_empty() {
+        return Ok(ds);
+    }
+    let named: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    Err(format!(
+        "{}: invalid dataset (run `mesh11 inspect` for details): {}",
+        path.display(),
+        named.join("; ")
+    ))
+}
+
 /// `mesh11 analyze FILE [section]`
 pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
-    let ds = load_dataset(path)?;
+    let ds = load_valid(path)?;
     let ix = DatasetIndex::build(&ds);
     let view = DatasetView::new(&ds, &ix);
     let all = what == "all";
@@ -198,7 +221,7 @@ pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
 /// then run in parallel and their tables print in request order.
 pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
     use rayon::prelude::*;
-    let ds = load_dataset(path)?;
+    let ds = load_valid(path)?;
     let cfg = SimConfig {
         probe_horizon_s: ds.probe_horizon_s,
         client_horizon_s: ds.client_horizon_s,

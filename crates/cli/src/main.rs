@@ -277,6 +277,46 @@ mod tests {
         std::fs::remove_file(&ens_path).ok();
     }
 
+    /// A NaN loss or an empty probe set is rejected at load with an
+    /// error, never a panic inside the kernels.
+    #[test]
+    fn figures_and_analyze_reject_invalid_datasets() {
+        let dir = std::env::temp_dir().join("mesh11-cli-invalid");
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.m11t");
+        crate::commands::simulate(&args(&[
+            "--seed",
+            "3",
+            "--networks",
+            "3",
+            "--out",
+            good.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let fig = ["fig4-1".to_string()];
+        crate::commands::figures(&good, &fig).unwrap();
+        let ds = load_dataset(&good).unwrap();
+        for name in ["nan-loss", "empty-obs"] {
+            let mut bad = ds.clone();
+            let obs = &mut bad.probes[0].obs;
+            match name {
+                "nan-loss" => obs[0].loss = f64::NAN,
+                _ => obs.clear(),
+            }
+            let path = dir.join(format!("{name}.m11t"));
+            mesh11_trace::codec::save(&bad, &path).unwrap();
+            let err = crate::commands::figures(&path, &fig).expect_err(name);
+            assert!(err.contains("probe[0]"), "{name}: {err}");
+            assert!(
+                crate::commands::analyze(&path, "bitrate").is_err(),
+                "{name}"
+            );
+            crate::commands::inspect(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_file(&good).ok();
+    }
+
     #[test]
     fn simulate_analyze_round_trip() {
         let dir = std::env::temp_dir().join("mesh11-cli-e2e");

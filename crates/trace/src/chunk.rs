@@ -61,7 +61,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use bytes::{Buf, BufMut};
 use mesh11_phy::Phy;
 
 use crate::client::ClientSample;
@@ -74,33 +73,6 @@ use crate::ids::{ApId, NetworkId};
 use crate::index::{DatasetIndex, DatasetView, IndexStitcher, StitchedIndex};
 use crate::matrix::DeliveryMatrix;
 use crate::probe::{ProbeSet, RateObs};
-
-/// Which frame encoding evicted chunks spill under.
-///
-/// Both decode transparently on read-back (frames are self-describing), so
-/// a store can in principle hold a mix; the codec choice only steers what
-/// *new* spills write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillCodec {
-    /// Raw little-endian columns — the original frame layout.
-    V1,
-    /// Per-column compression (delta+varint, bit-packing, loss-value
-    /// dictionaries) behind per-column tags, with an FNV-1a 64 frame
-    /// checksum. Typically ~0.5–0.6× the v1 byte count on probe data.
-    #[default]
-    V2,
-}
-
-impl SpillCodec {
-    /// Parses the `--spill-codec` CLI spelling (`"v1"` / `"v2"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "v1" => Some(SpillCodec::V1),
-            "v2" => Some(SpillCodec::V2),
-            _ => None,
-        }
-    }
-}
 
 /// Sizing of a [`ChunkStore`] and its analysis windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,8 +92,6 @@ pub struct ChunkConfig {
     /// Off in [`ChunkConfig::tiny`] so spill-forcing tests keep spilling
     /// at any thread count.
     pub scale_budget_with_threads: bool,
-    /// Frame encoding for spilled chunks ([`SpillCodec::V2`] by default).
-    pub spill_codec: SpillCodec,
     /// How many windows ahead of the fold the background prefetcher keeps
     /// warm (pinned + decoded). 0 disables the prefetch thread entirely.
     /// Only bites when the chunk sequence outgrows the resident budget —
@@ -137,7 +107,6 @@ impl Default for ChunkConfig {
             spill_dir: None,
             window_probes: 262_144,
             scale_budget_with_threads: true,
-            spill_codec: SpillCodec::V2,
             prefetch_depth: 1,
         }
     }
@@ -154,7 +123,6 @@ impl ChunkConfig {
             spill_dir: None,
             window_probes: 2_048,
             scale_budget_with_threads: false,
-            spill_codec: SpillCodec::V2,
             prefetch_depth: 0,
         }
     }
@@ -170,10 +138,8 @@ impl ChunkConfig {
     }
 }
 
-/// Leading magic of a v2 spill frame. A v1 frame starts with its probe
-/// count instead, and no real chunk holds ~3.26 billion probes — so the
-/// dispatch in [`ProbeChunk::decode_any`] is unambiguous, and a v2 frame
-/// fed to the v1 parser fails its size check instead of mis-decoding.
+/// Leading magic of a spill frame; [`ProbeChunk::decode`] rejects any
+/// frame that does not open with it.
 const MAGIC_V2: u32 = 0xC211_4D31;
 
 /// One fixed-capacity structure-of-arrays batch of probe sets, in stream
@@ -278,66 +244,6 @@ impl ProbeChunk {
         n * (4 + 4 + 4 + 1 + 8) + (n + 1) * 4 + m * (1 + 8 + 8)
     }
 
-    /// The exact byte count a v1 frame of this chunk occupies — the
-    /// uncompressed reference the codec-v2 spill ratio is measured
-    /// against (`spill_encoded_bytes / spill_raw_bytes`).
-    pub fn v1_encoded_len(&self) -> u64 {
-        let n = self.len() as u64;
-        let m = self.obs_rate_idx.len() as u64;
-        8 + n * 21 + (n + 1) * 4 + m * 17
-    }
-
-    /// Encodes the chunk into `buf` under the chosen spill codec. Both
-    /// frame formats decode via [`ProbeChunk::decode_any`].
-    pub fn encode_with(&self, codec: SpillCodec, buf: &mut Vec<u8>) {
-        match codec {
-            SpillCodec::V1 => self.encode_v1(buf),
-            SpillCodec::V2 => self.encode_v2(buf),
-        }
-    }
-
-    /// Decodes either frame format, dispatching on the leading magic: v2
-    /// frames open with `MAGIC_V2` (a value no v1 probe count can
-    /// plausibly reach), anything else parses as v1.
-    pub fn decode_any(buf: &[u8]) -> io::Result<Self> {
-        if buf.len() >= 4 && buf[..4] == MAGIC_V2.to_le_bytes() {
-            Self::decode_v2(buf)
-        } else {
-            Self::decode_v1(buf)
-        }
-    }
-
-    /// Encodes the chunk into `buf` (columnar, little-endian).
-    fn encode_v1(&self, buf: &mut Vec<u8>) {
-        let n = self.len();
-        let m = self.obs_rate_idx.len();
-        buf.put_u32_le(n as u32);
-        buf.put_u32_le(m as u32);
-        for &v in &self.networks {
-            buf.put_u32_le(v);
-        }
-        buf.put_slice(&self.phys);
-        for &v in &self.time_s {
-            buf.put_f64_le(v);
-        }
-        for &v in &self.senders {
-            buf.put_u32_le(v);
-        }
-        for &v in &self.receivers {
-            buf.put_u32_le(v);
-        }
-        for &v in &self.obs_off {
-            buf.put_u32_le(v);
-        }
-        buf.put_slice(&self.obs_rate_idx);
-        for &v in &self.obs_loss {
-            buf.put_f64_le(v);
-        }
-        for &v in &self.obs_snr {
-            buf.put_f64_le(v);
-        }
-    }
-
     /// Encodes the chunk as a v2 frame:
     ///
     /// ```text
@@ -353,7 +259,7 @@ impl ProbeChunk {
     /// encodings (see `crate::codec`), so the frame adapts to the data:
     /// monotone times delta, id columns bit-pack, quantized loss values
     /// dictionary-encode, continuous SNR stays raw.
-    fn encode_v2(&self, buf: &mut Vec<u8>) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&MAGIC_V2.to_le_bytes());
         let cksum_at = buf.len();
         buf.extend_from_slice(&0u64.to_le_bytes());
@@ -373,9 +279,9 @@ impl ProbeChunk {
         buf[cksum_at..body_at].copy_from_slice(&cksum.to_le_bytes());
     }
 
-    /// Decodes a v2 frame, rejecting truncation, trailing bytes, and any
-    /// corruption the frame checksum catches.
-    fn decode_v2(buf: &[u8]) -> io::Result<Self> {
+    /// Decodes a v2 frame, rejecting a foreign magic, truncation, trailing
+    /// bytes, and any corruption the frame checksum catches.
+    pub fn decode(buf: &[u8]) -> io::Result<Self> {
         let err =
             |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("v2 frame: {msg}"));
         if buf.len() < 12 {
@@ -407,55 +313,6 @@ impl ProbeChunk {
         }
         if c.obs_off.first() != Some(&0) || c.obs_off.last() != Some(&(m as u32)) {
             return Err(err("obs_off prefix table malformed"));
-        }
-        Ok(c)
-    }
-
-    /// Decodes a chunk from the bytes [`ProbeChunk::encode_v1`] wrote.
-    fn decode_v1(mut buf: &[u8]) -> io::Result<Self> {
-        fn need(buf: &[u8], n: usize) -> io::Result<()> {
-            if buf.remaining() < n {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("truncated chunk: need {n} bytes, have {}", buf.remaining()),
-                ))
-            } else {
-                Ok(())
-            }
-        }
-        need(buf, 8)?;
-        let n = buf.get_u32_le() as usize;
-        let m = buf.get_u32_le() as usize;
-        let want = n * 21 + (n + 1) * 4 + m * 17;
-        need(buf, want)?;
-        let mut c = Self::with_capacity(n);
-        c.obs_off.clear();
-        for _ in 0..n {
-            c.networks.push(buf.get_u32_le());
-        }
-        for _ in 0..n {
-            c.phys.push(buf.get_u8());
-        }
-        for _ in 0..n {
-            c.time_s.push(buf.get_f64_le());
-        }
-        for _ in 0..n {
-            c.senders.push(buf.get_u32_le());
-        }
-        for _ in 0..n {
-            c.receivers.push(buf.get_u32_le());
-        }
-        for _ in 0..=n {
-            c.obs_off.push(buf.get_u32_le());
-        }
-        for _ in 0..m {
-            c.obs_rate_idx.push(buf.get_u8());
-        }
-        for _ in 0..m {
-            c.obs_loss.push(buf.get_f64_le());
-        }
-        for _ in 0..m {
-            c.obs_snr.push(buf.get_f64_le());
         }
         Ok(c)
     }
@@ -559,11 +416,11 @@ pub struct ChunkStoreStats {
     /// Nanoseconds spent decoding spill frames, summed across all threads
     /// (consumer faults and the prefetch thread alike).
     pub decode_ns: u64,
-    /// Uncompressed (v1-equivalent) bytes of every chunk ever spilled.
+    /// Decoded column bytes ([`ProbeChunk::mem_bytes`]) of every chunk
+    /// ever spilled.
     pub spill_raw_bytes: u64,
-    /// Bytes actually written to the spill file; the codec-v2 win is
-    /// `spill_encoded_bytes / spill_raw_bytes` (1.0 under
-    /// [`SpillCodec::V1`]).
+    /// Bytes actually written to the spill file; the codec's compression
+    /// is `spill_encoded_bytes / spill_raw_bytes`.
     pub spill_encoded_bytes: u64,
 }
 
@@ -608,7 +465,6 @@ static SPILL_SERIAL: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct ChunkStore {
     budget: usize,
-    codec: SpillCodec,
     spill_dir: Option<PathBuf>,
     slots: RwLock<Vec<Arc<Slot>>>,
     file: Mutex<SpillFile>,
@@ -620,21 +476,10 @@ pub struct ChunkStore {
 
 impl ChunkStore {
     /// An empty store keeping at most `resident_chunks` chunks in memory
-    /// (floor 2: one being filled, one being read), spilling under the
-    /// default codec.
+    /// (floor 2: one being filled, one being read).
     pub fn new(resident_chunks: usize, spill_dir: Option<PathBuf>) -> Self {
-        Self::with_codec(resident_chunks, spill_dir, SpillCodec::default())
-    }
-
-    /// As [`ChunkStore::new`], with an explicit spill codec.
-    pub fn with_codec(
-        resident_chunks: usize,
-        spill_dir: Option<PathBuf>,
-        codec: SpillCodec,
-    ) -> Self {
         Self {
             budget: resident_chunks.max(2),
-            codec,
             spill_dir,
             slots: RwLock::new(Vec::new()),
             file: Mutex::new(SpillFile::default()),
@@ -718,7 +563,7 @@ impl ChunkStore {
         let (off, len) = st.disk.expect("chunk neither resident nor spilled");
         let raw = self.read_spill(off, len)?;
         let t = Instant::now();
-        let chunk = Arc::new(ProbeChunk::decode_any(&raw)?);
+        let chunk = Arc::new(ProbeChunk::decode(&raw)?);
         self.counters
             .decode_ns
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -856,7 +701,7 @@ impl ChunkStore {
                     }
                     let mut scratch = std::mem::take(&mut f.scratch);
                     scratch.clear();
-                    victim_chunk.encode_with(self.codec, &mut scratch);
+                    victim_chunk.encode(&mut scratch);
                     let off = f.end_offset;
                     write_spill(f.file.as_ref().expect("opened above"), &scratch, off)?;
                     f.end_offset += scratch.len() as u64;
@@ -867,7 +712,7 @@ impl ChunkStore {
                 self.spilled_bytes.fetch_add(encoded.1, Ordering::Relaxed);
                 self.counters
                     .spill_raw_bytes
-                    .fetch_add(victim_chunk.v1_encoded_len(), Ordering::Relaxed);
+                    .fetch_add(victim_chunk.mem_bytes(), Ordering::Relaxed);
                 self.counters
                     .spill_encoded_bytes
                     .fetch_add(encoded.1, Ordering::Relaxed);
@@ -1094,11 +939,7 @@ impl ChunkedDatasetBuilder {
     /// An empty builder. The store's resident budget is fixed here, from
     /// the configuration and (when enabled) the effective thread count.
     pub fn new(cfg: ChunkConfig) -> Self {
-        let store = ChunkStore::with_codec(
-            cfg.effective_resident_chunks(),
-            cfg.spill_dir.clone(),
-            cfg.spill_codec,
-        );
+        let store = ChunkStore::new(cfg.effective_resident_chunks(), cfg.spill_dir.clone());
         let current = ProbeChunk::with_capacity(cfg.chunk_capacity);
         Self {
             cfg,
@@ -1711,50 +1552,44 @@ mod tests {
         for (i, p) in ds.probes.iter().enumerate() {
             assert_eq!(&c.get(i), p);
         }
-        for codec in [SpillCodec::V1, SpillCodec::V2] {
-            let mut raw = Vec::new();
-            c.encode_with(codec, &mut raw);
-            let back = ProbeChunk::decode_any(&raw).unwrap();
-            for (i, p) in ds.probes.iter().enumerate() {
-                assert_eq!(&back.get(i), p, "{codec:?}");
-            }
+        let mut raw = Vec::new();
+        c.encode(&mut raw);
+        let back = ProbeChunk::decode(&raw).unwrap();
+        for (i, p) in ds.probes.iter().enumerate() {
+            assert_eq!(&back.get(i), p);
         }
     }
 
     #[test]
-    fn v2_frame_is_smaller_than_v1() {
+    fn frame_is_smaller_than_decoded_columns() {
         let ds = big_dataset();
         let mut c = ProbeChunk::with_capacity(ds.probes.len());
         for p in &ds.probes {
             c.push(p);
         }
-        let (mut v1, mut v2) = (Vec::new(), Vec::new());
-        c.encode_with(SpillCodec::V1, &mut v1);
-        c.encode_with(SpillCodec::V2, &mut v2);
-        assert_eq!(v1.len() as u64, c.v1_encoded_len());
+        let mut raw = Vec::new();
+        c.encode(&mut raw);
         assert!(
-            (v2.len() as f64) <= 0.7 * v1.len() as f64,
-            "v2 {} vs v1 {} bytes",
-            v2.len(),
-            v1.len()
+            (raw.len() as f64) <= 0.7 * c.mem_bytes() as f64,
+            "frame {} vs columns {} bytes",
+            raw.len(),
+            c.mem_bytes()
         );
     }
 
     #[test]
     fn empty_and_single_probe_chunks_round_trip() {
-        for codec in [SpillCodec::V1, SpillCodec::V2] {
-            for n in [0usize, 1] {
-                let mut c = ProbeChunk::with_capacity(n);
-                if n == 1 {
-                    c.push(&probe(7, 2, 3, 1234.5, 0.25));
-                }
-                let mut raw = Vec::new();
-                c.encode_with(codec, &mut raw);
-                let back = ProbeChunk::decode_any(&raw).unwrap();
-                assert_eq!(back.len(), n, "{codec:?}");
-                if n == 1 {
-                    assert_eq!(back.get(0), probe(7, 2, 3, 1234.5, 0.25));
-                }
+        for n in [0usize, 1] {
+            let mut c = ProbeChunk::with_capacity(n);
+            if n == 1 {
+                c.push(&probe(7, 2, 3, 1234.5, 0.25));
+            }
+            let mut raw = Vec::new();
+            c.encode(&mut raw);
+            let back = ProbeChunk::decode(&raw).unwrap();
+            assert_eq!(back.len(), n);
+            if n == 1 {
+                assert_eq!(back.get(0), probe(7, 2, 3, 1234.5, 0.25));
             }
         }
     }
@@ -1763,16 +1598,39 @@ mod tests {
     fn chunk_decode_rejects_truncation() {
         let mut c = ProbeChunk::with_capacity(4);
         c.push(&probe(0, 0, 1, 300.0, 0.2));
-        for codec in [SpillCodec::V1, SpillCodec::V2] {
-            let mut raw = Vec::new();
-            c.encode_with(codec, &mut raw);
-            for cut in 0..raw.len() {
-                assert!(
-                    ProbeChunk::decode_any(&raw[..cut]).is_err(),
-                    "{codec:?} prefix {cut}"
-                );
-            }
+        let mut raw = Vec::new();
+        c.encode(&mut raw);
+        for cut in 0..raw.len() {
+            assert!(ProbeChunk::decode(&raw[..cut]).is_err(), "prefix {cut}");
         }
+    }
+
+    /// A frame laid out as the old raw-column (v1) format — probe and
+    /// observation counts, then every column little-endian — opens with
+    /// its probe count, not the magic, and must be refused, not parsed.
+    #[test]
+    fn decode_rejects_foreign_magic() {
+        let p = probe(0, 0, 1, 300.0, 0.2);
+        let mut raw = Vec::new();
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&(p.obs.len() as u32).to_le_bytes());
+        raw.extend_from_slice(&p.network.0.to_le_bytes());
+        raw.push(phy_tag(p.phy));
+        raw.extend_from_slice(&p.time_s.to_le_bytes());
+        raw.extend_from_slice(&p.sender.0.to_le_bytes());
+        raw.extend_from_slice(&p.receiver.0.to_le_bytes());
+        for off in [0u32, p.obs.len() as u32] {
+            raw.extend_from_slice(&off.to_le_bytes());
+        }
+        raw.extend(p.obs.iter().map(|o| o.rate.index() as u8));
+        for o in &p.obs {
+            raw.extend_from_slice(&o.loss.to_le_bytes());
+        }
+        for o in &p.obs {
+            raw.extend_from_slice(&o.snr_db.to_le_bytes());
+        }
+        let err = ProbeChunk::decode(&raw).expect_err("v1 frame accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1783,47 +1641,17 @@ mod tests {
             c.push(p);
         }
         let mut raw = Vec::new();
-        c.encode_with(SpillCodec::V2, &mut raw);
-        assert!(ProbeChunk::decode_any(&raw).is_ok());
+        c.encode(&mut raw);
+        assert!(ProbeChunk::decode(&raw).is_ok());
         for i in 0..raw.len() {
             let mut bad = raw.clone();
             bad[i] ^= 0x01;
-            // A flip in the magic falls through to the v1 parser, which
-            // must also reject; a flip anywhere else fails the checksum.
+            // A flip in the magic fails the magic check; a flip anywhere
+            // else fails the checksum.
             assert!(
-                ProbeChunk::decode_any(&bad).is_err(),
+                ProbeChunk::decode(&bad).is_err(),
                 "flip at byte {i} accepted"
             );
-        }
-    }
-
-    #[test]
-    fn mixed_v1_v2_frames_decode_from_one_stream() {
-        let ds = big_dataset();
-        let mut a = ProbeChunk::with_capacity(32);
-        let mut b = ProbeChunk::with_capacity(32);
-        for p in ds.probes.iter().take(32) {
-            a.push(p);
-        }
-        for p in ds.probes.iter().skip(32).take(32) {
-            b.push(p);
-        }
-        // One spill stream, two codecs — exactly what a store sees when a
-        // run resumes over an old file with a different codec setting.
-        let mut stream = Vec::new();
-        let mut extents = Vec::new();
-        for (c, codec) in [(&a, SpillCodec::V1), (&b, SpillCodec::V2)] {
-            let mut raw = Vec::new();
-            c.encode_with(codec, &mut raw);
-            extents.push((stream.len(), raw.len()));
-            stream.extend_from_slice(&raw);
-        }
-        for ((off, len), orig) in extents.into_iter().zip([&a, &b]) {
-            let back = ProbeChunk::decode_any(&stream[off..off + len]).unwrap();
-            assert_eq!(back.len(), orig.len());
-            for i in 0..orig.len() {
-                assert_eq!(back.get(i), orig.get(i));
-            }
         }
     }
 
@@ -2033,25 +1861,15 @@ mod tests {
 
     #[test]
     fn spill_accounts_raw_and_encoded_bytes() {
-        let ds = big_dataset();
-        for (codec, bound) in [(SpillCodec::V1, 1.0), (SpillCodec::V2, 0.7)] {
-            let cfg = ChunkConfig {
-                spill_codec: codec,
-                ..tiny_cfg()
-            };
-            let chunked = ChunkedDataset::from_dataset(&ds, cfg).unwrap();
-            let s = chunked.stats();
-            assert!(s.spill_raw_bytes > 0, "{codec:?} must spill");
-            assert!(
-                s.spill_encoded_bytes as f64 <= bound * s.spill_raw_bytes as f64,
-                "{codec:?}: {} encoded vs {} raw",
-                s.spill_encoded_bytes,
-                s.spill_raw_bytes
-            );
-            if codec == SpillCodec::V1 {
-                assert_eq!(s.spill_encoded_bytes, s.spill_raw_bytes);
-            }
-        }
+        let chunked = ChunkedDataset::from_dataset(&big_dataset(), tiny_cfg()).unwrap();
+        let s = chunked.stats();
+        assert!(s.spill_raw_bytes > 0, "tiny budget must spill");
+        assert!(
+            s.spill_encoded_bytes as f64 <= 0.7 * s.spill_raw_bytes as f64,
+            "{} encoded vs {} raw",
+            s.spill_encoded_bytes,
+            s.spill_raw_bytes
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod validate;
 
 pub use chunk::{
     ChunkConfig, ChunkHandle, ChunkStore, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder,
-    ProbeChunk, ProbeSource, SpillCodec, WindowData,
+    ProbeChunk, ProbeSource, WindowData,
 };
 pub use client::ClientSample;
 pub use dataset::{Dataset, NetworkMeta};

@@ -1,9 +1,10 @@
 //! The fused-pass contract: folding every analysis a figure set reads over
-//! each resident window exactly once (`ReproContext::prepare`) must produce
-//! figure JSON byte-identical to an unprepared context, where every
-//! accessor walks the probe source for its own kernels on first touch —
-//! wherever the window boundaries fall, at any thread count, clean or
-//! faulted.
+//! each resident window exactly once (`ReproContext::prepare`), or over
+//! each sealed part while simulating (`build_timed_streaming`), must
+//! produce figure JSON byte-identical to an unprepared context, where
+//! every accessor walks the probe source for its own kernels on first
+//! touch — wherever the window and chunk boundaries fall, at any thread
+//! count, clean or faulted.
 
 use std::collections::BTreeMap;
 
@@ -28,12 +29,23 @@ fn all_figure_json(ctx: &ReproContext) -> BTreeMap<String, String> {
     out
 }
 
-/// Builds a quick-scale chunked context, fuses every figure's analyses
-/// up front when `prepared`, and renders all figures, on a dedicated pool
-/// of `threads` workers.
+/// How a context's analyses get folded before the figures render.
+#[derive(Clone, Copy, Debug)]
+enum Fold {
+    /// Not at all: every accessor walks its own kernels on first touch.
+    Unprepared,
+    /// One fused walk over the windows (`ReproContext::prepare`).
+    Prepared,
+    /// Over each sealed part while simulating (`build_timed_streaming`).
+    Streamed,
+}
+
+/// Builds a quick-scale chunked context, folds every figure's analyses
+/// as `fold` says, and renders all figures, on a dedicated pool of
+/// `threads` workers.
 fn figures_under(
     cfg: ChunkConfig,
-    prepared: bool,
+    fold: Fold,
     threads: usize,
     faults: FaultPlan,
 ) -> BTreeMap<String, String> {
@@ -42,14 +54,23 @@ fn figures_under(
         .build()
         .expect("build pool")
         .install(|| {
-            let (ctx, _) = ReproContext::build_timed_with_mode(
-                Scale::Quick,
-                SEED,
-                faults,
-                DataMode::Chunked(cfg),
-            );
-            if prepared {
-                ctx.prepare(&analyses_for(ALL_IDS));
+            let which = analyses_for(ALL_IDS);
+            let ctx = match fold {
+                Fold::Streamed => {
+                    ReproContext::build_timed_streaming(Scale::Quick, SEED, faults, cfg, &which).0
+                }
+                _ => {
+                    ReproContext::build_timed_with_mode(
+                        Scale::Quick,
+                        SEED,
+                        faults,
+                        DataMode::Chunked(cfg),
+                    )
+                    .0
+                }
+            };
+            if let Fold::Prepared = fold {
+                ctx.prepare(&which);
             }
             all_figure_json(&ctx)
         })
@@ -60,9 +81,10 @@ proptest! {
 
     /// Adversarial window placement: for window sizes from one probe set
     /// per window up to thousands (crossing network and chunk boundaries
-    /// at arbitrary offsets), the prepared context's figures are
-    /// byte-for-byte the unprepared context's — single-threaded and fanned
-    /// out, with and without an active fault plan.
+    /// at arbitrary offsets), the prepared and the streamed context's
+    /// figures are byte-for-byte the unprepared context's —
+    /// single-threaded and fanned out, with and without an active fault
+    /// plan.
     #[test]
     fn prepared_matches_per_analysis_walks(
         window in 1usize..4_000,
@@ -88,22 +110,25 @@ proptest! {
         // An unprepared context on one thread is the oracle: every
         // accessor runs its own kernels' walk, the schedule the goldens
         // pin.
-        let reference = figures_under(cfg.clone(), false, 1, faults());
+        let reference = figures_under(cfg.clone(), Fold::Unprepared, 1, faults());
         prop_assert!(reference.len() >= 39, "expected the full figure set");
-        let got = figures_under(cfg, true, threads, faults());
-        prop_assert_eq!(got.len(), reference.len(), "figure set differs");
-        for (id, json) in &reference {
-            let g = got.get(id).map(String::as_str);
-            prop_assert_eq!(
-                g,
-                Some(json.as_str()),
-                "figure {} diverges (window={}, capacity={}, threads={}, faulted={})",
-                id,
-                window,
-                capacity,
-                threads,
-                faulted
-            );
+        for fold in [Fold::Prepared, Fold::Streamed] {
+            let got = figures_under(cfg.clone(), fold, threads, faults());
+            prop_assert_eq!(got.len(), reference.len(), "figure set differs ({:?})", fold);
+            for (id, json) in &reference {
+                let g = got.get(id).map(String::as_str);
+                prop_assert_eq!(
+                    g,
+                    Some(json.as_str()),
+                    "figure {} diverges ({:?}, window={}, capacity={}, threads={}, faulted={})",
+                    id,
+                    fold,
+                    window,
+                    capacity,
+                    threads,
+                    faulted
+                );
+            }
         }
     }
 }
